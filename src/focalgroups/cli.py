@@ -257,18 +257,17 @@ def cmd_millefeuille(args):
         return 0
     D = product.distance_matrix()
     report = metric.four_point_delta(D, seed=args.seed)
-    _emit(
-        args,
+    payload = report.as_dict()
+    payload.update(
         {
             "left": args.left,
             "right": args.right,
             "radius": args.radius,
-            "seed": args.seed,
             "n_vertices": len(product.vertices),
             "interior_degrees": sorted({product.degree(v) for v in product.interior}),
-            "delta": float(report.delta),
-        },
+        }
     )
+    _emit(args, payload)
     return 0
 
 

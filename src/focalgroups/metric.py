@@ -1,12 +1,10 @@
 """Exact metric primitives on finite integer distance data: Gromov
-products, the four-point hyperbolicity constant, and two-sided affine
-embedding constants.
+products, the four-point hyperbolicity constant, two-sided affine
+embedding constants, and all-pairs distances of finite graphs.
 
 All rational values are computed in scaled-integer arithmetic and
 returned as Fractions; floats never enter a comparison.  The quadruple
-enumeration is the hot loop of the package: a compiled kernel is used
-when available, with a vectorized numpy fallback selected at import
-(set FOCALGROUPS_PURE=1 to force the fallback).
+enumeration behind the four-point constant is vectorized with numpy.
 """
 
 from __future__ import annotations
@@ -19,12 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-try:
-    from . import _speedups
-except ImportError:  # pragma: no cover - build-dependent
-    _speedups = None
-
-USE_SPEEDUPS = _speedups is not None and not os.environ.get("FOCALGROUPS_PURE")
+# Read only by the environment block of perfbench/run.py; no package code uses them.
+_speedups = None
+USE_SPEEDUPS = False
 
 EXHAUSTIVE_CUTOFF = 64
 DEFAULT_SAMPLES = 200_000
@@ -113,6 +108,31 @@ class DistanceMatrix:
         return buf.getvalue()
 
 
+def graph_distance_matrix(points, adjacency) -> DistanceMatrix:
+    """Shortest-path distances of a finite unweighted graph, one BFS per
+    source; `adjacency[i]` lists the neighbour indices of `points[i]`."""
+    n = len(points)
+    rows = []
+    for src in range(n):
+        row = [-1] * n
+        row[src] = 0
+        frontier, step, reached = [src], 0, 1
+        while frontier:
+            step += 1
+            nxt = []
+            for u in frontier:
+                for v in adjacency[u]:
+                    if row[v] < 0:
+                        row[v] = step
+                        nxt.append(v)
+            reached += len(nxt)
+            frontier = nxt
+        if reached != n:
+            raise MetricError("graph is disconnected")
+        rows.append(row)
+    return DistanceMatrix(points, np.array(rows, dtype=np.int64).reshape(n, n))
+
+
 def gromov_product(x, y, base, D: DistanceMatrix) -> Fraction:
     """(x|y) at `base`: half of d(base,x) + d(base,y) - d(x,y)."""
     b, i, j = D.index(base), D.index(x), D.index(y)
@@ -126,7 +146,6 @@ class DeltaReport:
     exhaustive: bool
     samples: int
     seed: int | None
-    backend: str
 
     def as_dict(self):
         return {
@@ -176,25 +195,12 @@ def four_point_delta(
         raise MetricError("need at least one point")
     d = D.d
     if n <= exhaustive_cutoff:
-        if USE_SPEEDUPS:
-            defect2 = _speedups.max_defect2_exhaustive(d)
-            backend = "compiled"
-        else:
-            defect2 = _defect2_exhaustive_numpy(d)
-            backend = "numpy"
-        return DeltaReport(Fraction(max(0, int(defect2)), 2), n, True, n**4, None, backend)
+        defect2 = _defect2_exhaustive_numpy(d)
+        return DeltaReport(Fraction(defect2, 2), n, True, n**4, None)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(4, samples), dtype=np.int64)
-    if USE_SPEEDUPS:
-        defect2 = _speedups.max_defect2_quadruples(
-            d, np.ascontiguousarray(idx[0]), np.ascontiguousarray(idx[1]),
-            np.ascontiguousarray(idx[2]), np.ascontiguousarray(idx[3]),
-        )
-        backend = "compiled"
-    else:
-        defect2 = _defect2_quadruples_numpy(d, idx[0], idx[1], idx[2], idx[3])
-        backend = "numpy"
-    return DeltaReport(Fraction(max(0, int(defect2)), 2), n, False, samples, seed, backend)
+    defect2 = _defect2_quadruples_numpy(d, idx[0], idx[1], idx[2], idx[3])
+    return DeltaReport(Fraction(defect2, 2), n, False, samples, seed)
 
 
 def hyperbolicity_bound(n0: int) -> float:

@@ -15,9 +15,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .metric import DistanceMatrix
+from .metric import DistanceMatrix, graph_distance_matrix
 from .words import GroupPoint
 
 
@@ -169,22 +167,9 @@ class BusemannGraph:
         return self
 
     def distance_matrix(self) -> DistanceMatrix:
-        n = len(self.vertices)
         index = {v: i for i, v in enumerate(self.vertices)}
-        d = np.full((n, n), -1, dtype=np.int64)
-        for src in self.vertices:
-            i = index[src]
-            d[i, i] = 0
-            queue = deque([src])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if d[i, index[w]] < 0:
-                        d[i, index[w]] = d[i, index[u]] + 1
-                        queue.append(w)
-        if (d < 0).any():
-            raise TreeError("graph is not connected")
-        return DistanceMatrix(self.vertices, d)
+        adjacency = [[index[w] for w in self._adj[v]] for v in self.vertices]
+        return graph_distance_matrix(self.vertices, adjacency)
 
     def to_dot(self):
         lines = ["graph levelled {"]

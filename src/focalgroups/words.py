@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import INF, FamilyError
-from .metric import DistanceMatrix
+from .metric import DistanceMatrix, graph_distance_matrix
 
 ALPHA = "a+"
 ALPHA_INV = "a-"
@@ -266,29 +266,14 @@ class BfsResult:
         bounds for d_S away from the trusted set)."""
         keys = sorted(self.points)
         index = {k: i for i, k in enumerate(keys)}
-        n = len(keys)
-        adjacency = [[] for _ in range(n)]
-        for k in keys:
+        adjacency = [[] for _ in keys]
+        for i, k in enumerate(keys):
             x = self.points[k]
             for s in self.generators:
-                yk = (x * s).key()
-                if yk in index:
-                    adjacency[index[k]].append(index[yk])
-        d = np.full((n, n), -1, dtype=np.int64)
-        for src in range(n):
-            d[src, src] = 0
-            frontier = [src]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in adjacency[u]:
-                        if d[src, v] < 0:
-                            d[src, v] = d[src, u] + 1
-                            nxt.append(v)
-                frontier = nxt
-        if (d < 0).any():
-            raise WordError("window graph is disconnected; enlarge the window")
-        return DistanceMatrix([k.decode() for k in keys], d)
+                j = index.get((x * s).key())
+                if j is not None:
+                    adjacency[i].append(j)
+        return graph_distance_matrix([k.decode() for k in keys], adjacency)
 
 
 def _in_window_point(x, window):

@@ -152,6 +152,9 @@ class TestTreeAndMillefeuille:
         assert code == 0
         assert payload["interior_degrees"] == [5]
         assert payload["delta"] == 0.0
+        # 106 vertices is above the exhaustive cutoff: delta is a sampled lower bound
+        assert payload["exhaustive"] is False
+        assert payload["samples"] == 200000
 
     def test_bad_tree_spec(self, capsys):
         code, _, err = run(capsys, "millefeuille", "Q9", "T3")

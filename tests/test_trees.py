@@ -143,6 +143,17 @@ class TestRegularTreeBall:
         assert {T.degree(v) for v in T.interior} == {3}
         assert four_point_delta(T.distance_matrix()).delta == 0
 
+    def test_distance_matrix_is_tree_distance(self):
+        D = regular_tree_ball(2, 3).distance_matrix()
+        ball = {BASEPOINT}
+        for _ in range(3):
+            ball |= {w for v in ball for w in [v.parent()] + v.children(2)}
+        by_id = {v.id(): v for v in ball}
+        assert sorted(by_id) == sorted(D.points)
+        for u in D.points:
+            for w in D.points:
+                assert D.distance(u, w) == tree_distance(by_id[u], by_id[w])
+
     def test_single_vertex(self):
         T = regular_tree_ball(2, 0)
         assert len(T.vertices) == 1 and not T.edges
