@@ -15,7 +15,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 INF = float("inf")
+# int64 stand-in for INF in the array hooks, far above any radius or length.
+ARRAY_INF = 1 << 62
 
 
 class FamilyError(ValueError):
@@ -71,6 +75,19 @@ class GroupFamily:
         """A witness list of a_length(h) elements of A with product h."""
         raise NotImplementedError
 
+    def pair_a_lengths(self, row_hs, row_ms, col_hs):
+        """a_length on a grid of pair quotients, as integer arrays.
+
+        Row i is (row_hs[i], row_ms[i]) with row_ms an int64 array, column j
+        is col_hs[j], and g_ij = alpha^-m_i(h_i^-1 h_j).  Returns
+        (settle, lengths): settle[i, j] is the least k with
+        a_length(alpha^k g_ij) <= 1, -ARRAY_INF when g_ij is the identity
+        and ARRAY_INF when no k exists; lengths(k) is a new array of
+        a_length(alpha^k g_ij), with ARRAY_INF for INF.  The encoding is
+        built from the elements given, not from a window.
+        """
+        raise NotImplementedError
+
     # -- certificates and surrogates ---------------------------------------
     def element_order(self, h):
         """Order of h in H, or None when infinite."""
@@ -123,6 +140,8 @@ class GroupFamily:
 
     # ------------------------------------------------------------------
     def __eq__(self, other):
+        if other is self:
+            return True
         return type(other) is type(self) and other.config() == self.config()
 
     def __hash__(self):
@@ -204,6 +223,40 @@ class LamplighterFamily(GroupFamily):
         if not self.in_A(h):
             raise FamilyError("element outside every power of A")
         return [h]
+
+    def pair_a_lengths(self, row_hs, row_ms, col_hs):
+        # a_length(alpha^k g) is 0 for g = identity, else 1 or INF as the
+        # least lamp position of alpha^k g is >= 0 or not.
+        floor = self._support_floor(row_hs, col_hs)
+        nonempty = floor != ARRAY_INF
+        settle = self._lamp_settle(floor, row_ms)
+        return settle, lambda k: np.where(k >= settle, nonempty, ARRAY_INF)
+
+    def _lamp_settle(self, floor, row_ms):
+        # The least lamp position of alpha^k g_ij is floor_ij - m_i + k.
+        return np.where(floor == ARRAY_INF, -ARRAY_INF, row_ms[:, None] - floor)
+
+    def _support_floor(self, row_hs, col_hs):
+        """Least lamp position of h_i^-1 h_j, ARRAY_INF where h_i = h_j.
+
+        The lamps of h_i^-1 h_j are the positions where the digits of h_i
+        and h_j differ; one pass per position, highest first, so no
+        rows x cols x positions array is built."""
+        positions = sorted({pos for h in itertools.chain(row_hs, col_hs) for pos, _ in h}, reverse=True)
+        column = {pos: c for c, pos in enumerate(positions)}
+
+        def digits(hs):
+            out = np.zeros((len(hs), len(positions)), dtype=np.int64)
+            for r, h in enumerate(hs):
+                for pos, val in h:
+                    out[r, column[pos]] = val
+            return out
+
+        rows, cols = digits(row_hs), digits(col_hs)
+        floor = np.full((len(row_hs), len(col_hs)), ARRAY_INF, dtype=np.int64)
+        for c, pos in enumerate(positions):
+            np.putmask(floor, rows[:, c, None] != cols[None, :, c], pos)
+        return floor
 
     def element_order(self, h):
         return math.lcm(*(self.q // math.gcd(val, self.q) for _, val in h)) if h else 1
@@ -294,6 +347,11 @@ class SpoofIdentityFamily(LamplighterFamily):
     def alpha_pow(self, h, k):
         return h
 
+    def _lamp_settle(self, floor, row_ms):
+        # alpha = id: a_length(alpha^k g_ij) = a_length(h_i^-1 h_j) for
+        # every k, with no shift by m_i; outside A it is INF for ever.
+        return np.where(floor >= 0, -ARRAY_INF, ARRAY_INF)
+
     def compaction_index(self):
         return 1  # alpha(A) = A
 
@@ -378,6 +436,41 @@ class NadicFamily(GroupFamily):
         parts.append(h - sign * (k - 1))
         return parts
 
+    def pair_a_lengths(self, row_hs, row_ms, col_hs):
+        # With numerators N over a common n^dpow and a_ij = |N_j - N_i|,
+        # a_length(alpha^k g_ij) = ceil(a_ij / n^(dpow + k - m_i)).
+        n = self.n
+        dpow = max(self._den_pow(h) for h in itertools.chain(row_hs, col_hs))
+        scale = n**dpow
+        rows = [h.numerator * (scale // h.denominator) for h in row_hs]
+        cols = [h.numerator * (scale // h.denominator) for h in col_hs]
+        amax = 2 * max(abs(x) for x in itertools.chain(rows, cols))
+        # top: least t >= 0 with n^t >= amax.  ceil(a / n^e) is the same for
+        # every e >= top when 0 <= a <= amax, so exponents are clamped there.
+        top = 0
+        while n**top < amax:
+            top += 1
+        # Python-int bound on every intermediate; object dtype runs the
+        # same code exactly when int64 could overflow.
+        up_max = max(0, int(row_ms.max()) - dpow)
+        dtype = np.int64 if max(n**top, amax * n**up_max) < ARRAY_INF else object
+        a = np.abs(np.array(cols, dtype=dtype)[None, :] - np.array(rows, dtype=dtype)[:, None])
+        least = np.zeros(a.shape, dtype=np.int64)  # least t with n^t >= a
+        for s in range(top):
+            least += a > n**s
+        settle = np.where(a == 0, -ARRAY_INF, least + row_ms[:, None] - dpow)
+
+        def lengths(k):
+            e = np.minimum(dpow + k - row_ms, top)
+            up = np.array([n ** int(x) for x in np.maximum(-e, 0)], dtype=dtype)[:, None]
+            down = np.array([n ** int(x) for x in np.maximum(e, 0)], dtype=dtype)[:, None]
+            out = a * up
+            out += down - 1
+            out //= down
+            return out
+
+        return settle, lengths
+
     def element_order(self, h):
         return 1 if h == 0 else None
 
@@ -403,9 +496,9 @@ class NadicFamily(GroupFamily):
         return f"N:{h.numerator}/{h.denominator}".encode()
 
     def _den_pow(self, h):
-        d, k = h.denominator, 0
-        while d > 1:
-            d //= self.n
+        """Least k with the denominator of h dividing n^k."""
+        k = 0
+        while self.n**k % h.denominator:
             k += 1
         return k
 
@@ -496,6 +589,13 @@ class ProductFamily(GroupFamily):
 
     def a_length(self, h):
         return max(self.left.a_length(h[0]), self.right.a_length(h[1]))
+
+    def pair_a_lengths(self, row_hs, row_ms, col_hs):
+        # a_length is the max of the component lengths, so it is <= 1 from
+        # the later of the two components' settling indices on.
+        s1, l1 = self.left.pair_a_lengths([h[0] for h in row_hs], row_ms, [h[0] for h in col_hs])
+        s2, l2 = self.right.pair_a_lengths([h[1] for h in row_hs], row_ms, [h[1] for h in col_hs])
+        return np.maximum(s1, s2), lambda k: np.maximum(l1(k), l2(k))
 
     def a_factorize(self, h):
         f1 = self.left.a_factorize(h[0])

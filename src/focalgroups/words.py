@@ -9,12 +9,13 @@ equals alpha(h).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .families import INF, FamilyError
+from .families import ARRAY_INF, INF, FamilyError
 from .metric import DistanceMatrix, graph_distance_matrix
 
 ALPHA = "a+"
@@ -223,6 +224,66 @@ def word_length(x, unchecked=False):
             raise WordError("word_length failed to terminate; broken family?")
 
 
+def _require_validated(family, unchecked):
+    if not family.a_length_validated and not unchecked:
+        raise UnvalidatedFamilyError(
+            f"{family.name}: a_length has not been validated against the "
+            "brute-force oracle; pass unchecked=True to override"
+        )
+
+
+# Pairs per block of rows in pairwise_word_lengths: bounds every array
+# temporary (512 kB each, so they stay in cache) whatever the size of the ball.
+PAIRS_PER_BLOCK = 1 << 16
+
+
+def pairwise_word_lengths(xs, ys, unchecked=False):
+    """d(x, y) for every x in xs and y in ys, as an int64 array.
+
+    word_length's closed form on all pairs at once: x^-1 y = (g, m) with
+    g = alpha^-m_x(h_x^-1 h_y) and m = m_y - m_x, and the minimum over
+    i >= max(0, -m) of 2i + m + a_length(alpha^i g) runs as array steps up
+    to the same stopping index, the first such i with a_length <= 1 (the
+    family's pair_a_lengths hook gives it).  Rows go in blocks of nearby
+    m_x, which keeps each block's range of i short.
+    """
+    out = np.zeros((len(xs), len(ys)), dtype=np.int64)
+    if not xs or not ys:
+        return out
+    family = xs[0].family
+    if any(p.family != family for p in itertools.chain(xs, ys)):
+        raise WordError("mixed families")
+    _require_validated(family, unchecked)
+    row_ms = np.array([x.m for x in xs], dtype=np.int64)
+    col_ms = np.array([y.m for y in ys], dtype=np.int64)
+    col_hs = [y.h for y in ys]
+    order = np.argsort(row_ms, kind="stable")
+    step = max(1, PAIRS_PER_BLOCK // len(ys))
+    for lo in range(0, len(xs), step):
+        rows = order[lo : lo + step]
+        out[rows] = _block_word_lengths(family, [xs[r].h for r in rows], row_ms[rows], col_hs, col_ms)
+    return out
+
+
+def _block_word_lengths(family, row_hs, row_ms, col_hs, col_ms):
+    m = col_ms[None, :] - row_ms[:, None]
+    settle, lengths = family.pair_a_lengths(row_hs, row_ms, col_hs)
+    if (settle == ARRAY_INF).any():
+        raise WordError("word_length failed to terminate; broken family?")
+    start = np.maximum(0, -m)
+    stop = np.maximum(start, settle)
+    best = None
+    for i in range(int(start.min()), int(stop.max()) + 1):
+        # Steps past a pair's stopping index cannot lower its minimum (2i + m
+        # alone exceeds the cost there), so only i < start is masked.
+        cost = lengths(i)
+        cost += m
+        cost += 2 * i
+        np.putmask(cost, start > i, ARRAY_INF)
+        best = cost if best is None else np.minimum(best, cost, out=best)
+    return best
+
+
 def geodesic_witness(x, unchecked=False):
     """A word of length word_length(x) in normal-form shape evaluating to x."""
     family = x.family
@@ -360,28 +421,19 @@ def ball_points(family, radius, window=None, sample=None, seed=0, unchecked=Fals
 
     Exhaustive over the windowed slice of G by default; when `sample` is
     given, a deterministic seeded sample of that size is drawn instead.
-    Returns (points, DistanceMatrix).
+    Both the radius filter and the matrix come from
+    pairwise_word_lengths.  Returns (points, DistanceMatrix).
     """
     if window is None:
         window = family.default_window(radius)
-    pts = []
     if sample is None:
-        for h in family.iter_window(window):
-            for m in range(-window.levels, window.levels + 1):
-                x = GroupPoint(family, h, m)
-                if word_length(x, unchecked=unchecked) <= radius:
-                    pts.append(x)
+        levels = range(-window.levels, window.levels + 1)
+        candidates = [GroupPoint(family, h, m) for h in family.iter_window(window) for m in levels]
     else:
-        pts = sample_points(family, sample, max_len=radius, seed=seed, window=window)
-        pts = [x for x in pts if word_length(x, unchecked=unchecked) <= radius]
-    pts.sort(key=lambda x: x.key())
-
-    n = len(pts)
-    d = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        xi_inv = pts[i].inverse()
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = word_length(xi_inv * pts[j], unchecked=unchecked)
+        candidates = sample_points(family, sample, max_len=radius, seed=seed, window=window)
+    lengths = pairwise_word_lengths([identity_point(family)], candidates, unchecked=unchecked)[0]
+    pts = sorted((x for x, ell in zip(candidates, lengths) if ell <= radius), key=GroupPoint.key)
+    d = pairwise_word_lengths(pts, pts, unchecked=unchecked)
     ids = [x.key().decode() for x in pts]
     return pts, DistanceMatrix(ids, d)
 

@@ -182,6 +182,13 @@ class TestSerialization:
         for h in sample_elements(family, 15, seed=8):
             assert family.h_from_json(family.h_to_json(h)) == h
 
+    @pytest.mark.parametrize("n, value", [(10, Fraction(1, 4)), (10, Fraction(-3, 8)), (6, Fraction(5, 9)), (4, Fraction(1, 8))])
+    def test_json_round_trip_composite_n(self, n, value):
+        # The denominator divides a power of n without being one.
+        family = NadicFamily(n)
+        h = family.element(value)
+        assert family.h_from_json(family.h_to_json(h)) == h
+
     def test_config_round_trip(self):
         for family in ALL:
             assert family_from_config(family.config()) == family

@@ -1,7 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from focalgroups.families import (
     LamplighterFamily,
@@ -11,10 +15,12 @@ from focalgroups.families import (
     ProductFamily,
     SpoofIdentityFamily,
 )
+from focalgroups import words
 from focalgroups.words import (
     ALPHA,
     ALPHA_INV,
     Gen,
+    GroupPoint,
     UnvalidatedFamilyError,
     WordError,
     alpha_point,
@@ -28,6 +34,7 @@ from focalgroups.words import (
     h_point,
     identity_point,
     k0_bound,
+    pairwise_word_lengths,
     parse_word,
     random_word,
     rewrite_to_normal_form,
@@ -83,6 +90,18 @@ class TestGroupPoint:
             assert (g * g.inverse()).is_identity()
             assert g**3 == g * g * g
             assert g**-2 == (g.inverse()) * (g.inverse())
+
+    def test_mixed_families_raise(self):
+        with pytest.raises(WordError):
+            h_point(L2, L2.lamp(0)) * h_point(N2, N2.element(1))
+        with pytest.raises(WordError):
+            h_point(L2, L2.lamp(0)) * h_point(LamplighterFamily(3), L2.lamp(0))
+
+    def test_equal_family_instances_multiply(self):
+        other = LamplighterFamily(2)
+        assert other is not L2 and other == L2
+        x = h_point(L2, L2.lamp(0)) * h_point(other, other.lamp(1))
+        assert x == h_point(L2, L2.multiply(L2.lamp(0), L2.lamp(1)))
 
 
 class TestRewrite:
@@ -215,10 +234,151 @@ class TestBfsOracle:
             assert res.dist[key] >= word_length(x)
 
 
+def scalar_matrix(xs, ys, unchecked=False):
+    return np.array([[distance(x, y, unchecked=unchecked) for y in ys] for x in xs], dtype=np.int64)
+
+
+def lamp_configs(q, lo=-8, hi=8):
+    lamps = st.dictionaries(st.integers(lo, hi), st.integers(1, q - 1), max_size=5)
+    return lamps.map(lambda d: tuple(sorted(d.items())))
+
+
+def nadic_values(n):
+    # Denominators up to n^5 and |x| up to 6: off the default window grids.
+    return st.builds(lambda num, k: Fraction(num, n**k), st.integers(-6 * n**5, 6 * n**5), st.integers(0, 5))
+
+
+H_STRATEGIES = {
+    "lamplighter:2": (L2, lamp_configs(2)),
+    "lamplighter:3": (LamplighterFamily(3), lamp_configs(3)),
+    "nadic:2": (N2, nadic_values(2)),
+    "nadic:3": (NadicFamily(3), nadic_values(3)),
+    # Composite n: denominators 2^a 5^b divide a power of 10 without being one.
+    "nadic:10": (NadicFamily(10), nadic_values(10)),
+    "product(lamplighter:2,nadic:2)": (PROD, st.tuples(lamp_configs(2), nadic_values(2))),
+}
+
+
+def point_lists(family, hs):
+    points = st.builds(GroupPoint, st.just(family), hs, st.integers(-7, 7))
+    return st.lists(points, min_size=1, max_size=8)
+
+
+class TestPairwiseWordLengths:
+    @pytest.mark.parametrize("spec", sorted(H_STRATEGIES))
+    @given(data=st.data())
+    def test_matches_scalar_distance(self, spec, data):
+        family, hs = H_STRATEGIES[spec]
+        xs = data.draw(point_lists(family, hs), label="xs")
+        ys = data.draw(point_lists(family, hs), label="ys")
+        got = pairwise_word_lengths(xs, ys)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, scalar_matrix(xs, ys))
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+    def test_row_blocks_match_scalar(self, family, monkeypatch):
+        # Blocks of a few rows, taken in order of m, scattered back in place.
+        monkeypatch.setattr(words, "PAIRS_PER_BLOCK", 100)
+        pts = sample_points(family, 60, max_len=7, seed=21)
+        assert np.array_equal(pairwise_word_lengths(pts, pts), scalar_matrix(pts, pts))
+
+    def test_identity_row_is_word_length(self):
+        pts = sample_points(N2, 40, max_len=7, seed=3)
+        row = pairwise_word_lengths([identity_point(N2)], pts)[0]
+        assert list(row) == [word_length(x) for x in pts]
+
+    def test_empty_sides(self):
+        pts = sample_points(L2, 5, seed=1)
+        assert pairwise_word_lengths([], pts).shape == (0, 5)
+        assert pairwise_word_lengths(pts, []).shape == (5, 0)
+
+    def test_mixed_families_raise(self):
+        with pytest.raises(WordError):
+            pairwise_word_lengths([identity_point(L2)], [identity_point(N2)])
+
+    def test_nadic_overflow_uses_python_ints(self):
+        # n^|m| times a numerator exceeds 2^63: the hook must switch to
+        # object dtype and still agree with the scalar path.
+        n10 = NadicFamily(10)
+        pts = [
+            GroupPoint(n10, Fraction(7, 10**3), 19),
+            GroupPoint(n10, Fraction(-123, 10**2), -19),
+            GroupPoint(n10, Fraction(5), 19),
+            GroupPoint(n10, Fraction(98765, 10**4), 19),
+            GroupPoint(n10, Fraction(1, 10), 0),
+            GroupPoint(n10, Fraction(0), -7),
+        ]
+        _, lengths = n10.pair_a_lengths([x.h for x in pts], np.array([x.m for x in pts]), [x.h for x in pts])
+        assert lengths(0).dtype == object
+        assert 10**19 * 98765 > 2**63
+        assert np.array_equal(pairwise_word_lengths(pts, pts), scalar_matrix(pts, pts))
+
+    def test_nadic_composite_denominators(self):
+        # 1/4 and 3/4 lie in Z[1/10] with a common denominator 10^2, not 10.
+        n10 = NadicFamily(10)
+        pts = [GroupPoint(n10, Fraction(v), m) for v in ("1/4", "-3/4", "1/2", "0") for m in (-1, 0, 2)]
+        assert np.array_equal(pairwise_word_lengths(pts, pts), scalar_matrix(pts, pts))
+
+    def test_spoof_has_no_shift_semantics(self):
+        # alpha = id: pairs whose quotient lies in A match the scalar path,
+        # which a lamplighter shift by m would not.
+        spoof = SpoofIdentityFamily(2)
+        pts = [GroupPoint(spoof, spoof.lamp(p), m) for p in (0, 1, 2) for m in (-3, 0, 2)]
+        pts.append(GroupPoint(spoof, (), 1))
+        got = pairwise_word_lengths(pts, pts, unchecked=True)
+        assert np.array_equal(got, scalar_matrix(pts, pts, unchecked=True))
+        with pytest.raises(UnvalidatedFamilyError):
+            pairwise_word_lengths(pts, pts)
+
+
 class TestBallPoints:
     def test_radius_zero(self):
         pts, D = ball_points(L2, 0)
         assert len(pts) == 1 and D.d[0, 0] == 0
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+    def test_radius_zero_is_identity_only(self, family):
+        pts, D = ball_points(family, 0)
+        assert len(pts) == 1 and pts[0].is_identity()
+        assert D.d.shape == (1, 1) and D.d[0, 0] == 0
+
+    @pytest.mark.parametrize(
+        "family, radius, window",
+        [
+            (L2, 4, None),
+            (N2, 3, None),
+            (PROD, 2, None),
+            (L2, 5, LamplighterWindow(-2, 2, 5)),
+        ],
+        ids=["lamplighter2-r4", "nadic2-r3", "product-r2", "lamplighter2-r5-window"],
+    )
+    def test_matrix_matches_scalar_distance(self, family, radius, window):
+        pts, D = ball_points(family, radius, window=window)
+        assert np.array_equal(D.d, scalar_matrix(pts, pts))
+        window = window or family.default_window(radius)
+        kept = [
+            x
+            for h in family.iter_window(window)
+            for m in range(-window.levels, window.levels + 1)
+            if word_length(x := GroupPoint(family, h, m)) <= radius
+        ]
+        assert sorted(x.key() for x in kept) == [x.key() for x in pts]
+
+    def test_sampled_ball_filter_matches_scalar(self):
+        pts, D = ball_points(N2, 6, sample=120, seed=4)
+        window = N2.default_window(6)
+        expected = [x for x in sample_points(N2, 120, max_len=6, seed=4, window=window) if word_length(x) <= 6]
+        assert [x.key() for x in pts] == sorted(x.key() for x in expected)
+        assert np.array_equal(D.d, scalar_matrix(pts, pts))
+
+    def test_spoof_refused_and_never_hangs(self):
+        spoof = SpoofIdentityFamily(2)
+        with pytest.raises(UnvalidatedFamilyError):
+            ball_points(spoof, 2)
+        start = time.perf_counter()
+        with pytest.raises(WordError):
+            ball_points(spoof, 2, unchecked=True)
+        assert time.perf_counter() - start < 5
 
     def test_exhaustive_ball_is_metric(self):
         pts, D = ball_points(L2, 4)
