@@ -30,26 +30,25 @@ def _family(args):
         raise CliError(f"bad family spec {args.family!r}: {exc}") from exc
 
 
-def _window(family, args, radius):
-    spec = getattr(args, "window", None)
-    if not spec:
-        return family.default_window(radius)
-    parts = [int(p) for p in spec.split(",")]
+def _window(family, args):
+    if not args.window:
+        return family.default_window(args.radius)
+    parts = [int(p) for p in args.window.split(",")]
+    if len(parts) not in (2, 3):
+        raise CliError(f"--window {args.window!r}: give 2 or 3 comma-separated integers")
+    if len(parts) == 2:
+        parts.append(args.radius)
     if isinstance(family, families.LamplighterFamily):
-        lo, hi = parts[0], parts[1]
-        levels = parts[2] if len(parts) > 2 else radius
-        return families.LamplighterWindow(lo, hi, levels)
+        return families.LamplighterWindow(*parts)
     if isinstance(family, families.NadicFamily):
-        xmax, dpow = parts[0], parts[1]
-        levels = parts[2] if len(parts) > 2 else radius
-        return families.NadicWindow(xmax, dpow, levels)
+        return families.NadicWindow(*parts)
     raise CliError(f"--window not supported for {family.name}; use the default")
 
 
 def _emit(args, payload, text=None):
     if text is None:
         text = json.dumps(payload, sort_keys=True, indent=2, default=str)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -63,6 +62,28 @@ def _parse_point(family, text):
     return words.evaluate(family, words.parse_word(family, text))
 
 
+def _delta_verdict(family, D, seed, samples=metric.DEFAULT_SAMPLES):
+    """The four-point constant of D against the thin-triangle bound for
+    family: (report, payload with `bound` and `within_bound` added)."""
+    report = metric.four_point_delta(D, samples=samples, seed=seed)
+    payload = report.as_dict()
+    payload["bound"] = metric.hyperbolicity_bound(family.n0)
+    payload["within_bound"] = metric.delta_within_bound(report.delta, family.n0)
+    return report, payload
+
+
+def _export_graph(args, graph):
+    """Emit graph as DOT or adjacency CSV when --format asks for one;
+    return whether it did."""
+    if args.format == "dot":
+        _emit(args, None, text=graph.to_dot())
+    elif args.format == "csv":
+        _emit(args, None, text=graph.to_adjacency_csv().rstrip("\n"))
+    else:
+        return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -70,7 +91,7 @@ def _parse_point(family, text):
 
 def cmd_verify(args):
     family = _family(args)
-    window = _window(family, args, args.radius)
+    window = _window(family, args)
     report = families.verify_confining(family, window, exhaust_depth=args.horizon)
     payload = {"seed": args.seed, "confining": report.as_dict()}
     if report.passed and family.a_length_validated:
@@ -85,7 +106,7 @@ def cmd_verify(args):
 
 def cmd_ball(args):
     family = _family(args)
-    window = _window(family, args, args.radius)
+    window = _window(family, args)
     pts, D = words.ball_points(family, args.radius, window=window, sample=args.samples, seed=args.seed)
     if args.format == "csv":
         _emit(args, None, text=D.csv_string().rstrip("\n"))
@@ -116,22 +137,12 @@ def cmd_ball(args):
 
 def cmd_delta(args):
     family = _family(args)
-    window = _window(family, args, args.radius)
+    window = _window(family, args)
     _, D = words.ball_points(family, args.radius, window=window, seed=args.seed)
-    report = metric.four_point_delta(D, samples=args.samples or metric.DEFAULT_SAMPLES, seed=args.seed)
-    within = metric.delta_within_bound(report.delta, family.n0)
-    payload = report.as_dict()
-    payload.update(
-        {
-            "family": family.config(),
-            "window": window.as_dict(),
-            "radius": args.radius,
-            "bound": metric.hyperbolicity_bound(family.n0),
-            "within_bound": within,
-        }
-    )
+    _, payload = _delta_verdict(family, D, args.seed, samples=args.samples or metric.DEFAULT_SAMPLES)
+    payload.update({"family": family.config(), "window": window.as_dict(), "radius": args.radius})
     _emit(args, payload)
-    return 0 if within else 2
+    return 0 if payload["within_bound"] else 2
 
 
 def cmd_nf(args):
@@ -208,11 +219,7 @@ def cmd_beta(args):
 def cmd_tree(args):
     family = _family(args)
     ball = trees.lamplighter_tree_ball(family, args.radius)
-    if args.format == "dot":
-        _emit(args, None, text=ball.to_dot())
-        return 0
-    if args.format == "csv":
-        _emit(args, None, text=ball.to_adjacency_csv().rstrip("\n"))
+    if _export_graph(args, ball):
         return 0
     probe = trees.tree_qi_probe(family, count=100, max_len=args.radius, seed=args.seed)
     degrees = sorted({ball.degree(v) for v in ball.interior})
@@ -249,11 +256,7 @@ def cmd_millefeuille(args):
     T = _tree_spec(args.right, args.radius)
     product = trees.millefeuille(X, T)
     product.validate()
-    if args.format == "dot":
-        _emit(args, None, text=product.to_dot())
-        return 0
-    if args.format == "csv":
-        _emit(args, None, text=product.to_adjacency_csv().rstrip("\n"))
+    if _export_graph(args, product):
         return 0
     D = product.distance_matrix()
     report = metric.four_point_delta(D, seed=args.seed)
@@ -275,7 +278,7 @@ def cmd_schottky(args):
     family = _family(args)
     a = _parse_point(family, args.a)
     b = _parse_point(family, args.b)
-    report = boundary.schottky_semigroup_check(a, b, L=args.horizon)
+    report = boundary.schottky_semigroup_check(a, b, L=args.horizon, unchecked=args.unchecked)
     payload = {
         "family": family.config(),
         "a": a.to_json(),
@@ -289,7 +292,7 @@ def cmd_schottky(args):
 
 def cmd_report(args):
     family = _family(args)
-    window = _window(family, args, args.radius)
+    window = _window(family, args)
     confining = families.verify_confining(family, window)
     payload = {
         "family": family.config(),
@@ -302,10 +305,7 @@ def cmd_report(args):
     if confining.passed and family.a_length_validated:
         payload["distortion"] = words.distortion_check(family, window=window, seed=args.seed).as_dict()
         _, D = words.ball_points(family, args.radius, window=window, seed=args.seed)
-        delta = metric.four_point_delta(D, seed=args.seed)
-        payload["delta"] = delta.as_dict()
-        payload["delta"]["bound"] = metric.hyperbolicity_bound(family.n0)
-        payload["delta"]["within_bound"] = metric.delta_within_bound(delta.delta, family.n0)
+        delta, payload["delta"] = _delta_verdict(family, D, args.seed)
         payload["compaction_index"] = family.compaction_index()
         alpha = words.alpha_point(family, 1)
         payload["beta_alpha"] = boundary.busemann_quasicharacter(alpha, N=args.horizon).as_dict()
@@ -322,74 +322,60 @@ def cmd_report(args):
 # ---------------------------------------------------------------------------
 
 
+# Every option a subcommand can declare: flag name -> add_argument keywords.
+# Each subcommand declares only the flags its handler reads, plus --out.
+OPTIONS = {
+    "family": dict(default="lamplighter:2", help="family spec, e.g. lamplighter:2, nadic:3, product(lamplighter:2,nadic:2), or JSON"),
+    "radius": dict(type=int, default=6),
+    "window": dict(default=None, help="family window, e.g. '-3,3' (lamplighter) or '4,4' (nadic), with an optional third part for levels"),
+    "horizon": dict(type=int, default=8),
+    "seed": dict(type=int, default=0),
+    "format": dict(choices=["json", "csv", "dot"], default="json"),
+    "samples": dict(type=int, default=None, help="ball: sample this many points instead of exhausting the window; delta: quadruple sample count beyond the exhaustive cutoff"),
+    "unchecked": dict(action="store_true", help="trust unvalidated a_length oracles"),
+    "exact-only": dict(action="store_true", help="exit 2 unless every emitted verdict is exact"),
+    "out": dict(default=None, help="write the report to this path"),
+}
+
+
 def build_parser():
     parser = _Parser(prog="focalgroups", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, radius=6):
-        p.add_argument("--family", default="lamplighter:2", help="family spec, e.g. lamplighter:2, nadic:3, product(lamplighter:2,nadic:2), or JSON")
-        p.add_argument("--radius", type=int, default=radius)
-        p.add_argument("--window", default=None, help="family window, e.g. '-3,3' (lamplighter) or '4,4' (nadic)")
-        p.add_argument("--horizon", type=int, default=8)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=["json", "csv", "dot"], default="json")
-        p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--unchecked", action="store_true", help="trust unvalidated a_length oracles")
-        p.add_argument("--exact-only", dest="exact_only", action="store_true", help="exit 2 unless every emitted verdict is exact")
+    def add(name, func, help, flags, **defaults):
+        p = sub.add_parser(name, help=help)
+        for flag in flags + ("out",):
+            p.add_argument(f"--{flag}", **OPTIONS[flag])
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("verify", help="confining axioms and distortion inclusions")
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    add("verify", cmd_verify, "confining axioms and distortion inclusions", ("family", "radius", "window", "horizon", "seed"))
+    add("ball", cmd_ball, "windowed ball with exact pairwise distances", ("family", "radius", "window", "seed", "format", "samples"), format="csv")
+    add("delta", cmd_delta, "four-point hyperbolicity constant of a ball", ("family", "radius", "window", "seed", "samples"))
 
-    p = sub.add_parser("ball", help="windowed ball with exact pairwise distances")
-    common(p)
-    p.add_argument("--samples", type=int, default=None, help="sample this many points instead of exhausting the window")
-    p.set_defaults(func=cmd_ball, format="csv")
-
-    p = sub.add_parser("delta", help="four-point hyperbolicity constant of a ball")
-    common(p)
-    p.add_argument("--samples", type=int, default=None, help="quadruple sample count beyond the exhaustive cutoff")
-    p.set_defaults(func=cmd_delta)
-
-    p = sub.add_parser("nf", help="rewrite a word to normal form")
-    common(p)
+    p = add("nf", cmd_nf, "rewrite a word to normal form", ("family",))
     p.add_argument("word", help="word like 'a- g{0:1} a+'")
-    p.set_defaults(func=cmd_nf)
 
-    p = sub.add_parser("dist", help="exact word length and geodesic witness")
-    common(p)
+    p = add("dist", cmd_dist, "exact word length and geodesic witness", ("family", "unchecked"))
     p.add_argument("element", help="word or element JSON")
-    p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("classify", help="action type of a generated subgroup")
-    common(p)
+    p = add("classify", cmd_classify, "action type of a generated subgroup", ("family", "horizon", "seed", "unchecked", "exact-only"))
     p.add_argument("generators", nargs="*", help="generator words, e.g. a+ 'g{0:1}'")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("beta", help="Busemann quasicharacter of an element")
-    common(p)
+    p = add("beta", cmd_beta, "Busemann quasicharacter of an element", ("family", "horizon", "unchecked"), horizon=16)
     p.add_argument("element")
-    p.set_defaults(func=cmd_beta, horizon=16)
 
-    p = sub.add_parser("tree", help="coset tree ball, action probe, exports")
-    common(p, radius=4)
-    p.set_defaults(func=cmd_tree)
+    add("tree", cmd_tree, "coset tree ball, action probe, exports", ("family", "radius", "seed", "format"), radius=4)
 
-    p = sub.add_parser("millefeuille", help="fiber product of two levelled trees")
-    common(p, radius=3)
+    p = add("millefeuille", cmd_millefeuille, "fiber product of two levelled trees", ("radius", "seed", "format"), radius=3)
     p.add_argument("left", help="tree spec: line, T3, T4:5, ...")
     p.add_argument("right")
-    p.set_defaults(func=cmd_millefeuille)
 
-    p = sub.add_parser("schottky", help="free subsemigroup probe for a pair")
-    common(p)
+    p = add("schottky", cmd_schottky, "free subsemigroup probe for a pair", ("family", "horizon", "unchecked"), horizon=10)
     p.add_argument("a")
     p.add_argument("b")
-    p.set_defaults(func=cmd_schottky, horizon=10)
 
-    p = sub.add_parser("report", help="full battery for one family")
-    common(p)
-    p.set_defaults(func=cmd_report)
+    add("report", cmd_report, "full battery for one family", ("family", "radius", "window", "horizon", "seed"))
     return parser
 
 
@@ -398,10 +384,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (families.FamilyError, words.WordError, words.UnvalidatedFamilyError, trees.TreeError, metric.MetricError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CliError, ValueError, OSError, words.UnvalidatedFamilyError) as exc:
+        # FamilyError, WordError, TreeError, MetricError and JSONDecodeError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

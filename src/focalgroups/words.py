@@ -202,12 +202,13 @@ def word_length(x, unchecked=False):
     the objective strictly increases because a_length(alpha(h)) <=
     a_length(h).  Finiteness is guaranteed by the confining union axiom.
     """
+    return _length_scan(x, unchecked)[0]
+
+
+def _length_scan(x, unchecked):
+    """word_length's scan: (length, the first i attaining it, alpha^i(h))."""
     family = x.family
-    if not family.a_length_validated and not unchecked:
-        raise UnvalidatedFamilyError(
-            f"{family.name}: a_length has not been validated against the "
-            "brute-force oracle; pass unchecked=True to override"
-        )
+    _require_validated(family, unchecked)
     best, i = None, max(0, -x.m)
     g = family.alpha_pow(x.h, i)
     while True:
@@ -215,9 +216,9 @@ def word_length(x, unchecked=False):
         if la is not INF:
             cost = 2 * i + x.m + la
             if best is None or cost < best:
-                best = cost
+                best, best_i, best_g = cost, i, g
             if la <= 1:
-                return best
+                return best, best_i, best_g
         i += 1
         g = family.alpha(g)
         if i > 10**6:
@@ -286,16 +287,9 @@ def _block_word_lengths(family, row_hs, row_ms, col_hs, col_ms):
 
 def geodesic_witness(x, unchecked=False):
     """A word of length word_length(x) in normal-form shape evaluating to x."""
-    family = x.family
-    target = word_length(x, unchecked=unchecked)
-    i = max(0, -x.m)
-    while True:
-        g = family.alpha_pow(x.h, i)
-        la = family.a_length(g)
-        if la is not INF and 2 * i + x.m + la == target:
-            gs = family.a_factorize(g)
-            return [ALPHA_INV] * i + [Gen(a) for a in gs] + [ALPHA] * (x.m + i)
-        i += 1
+    _, i, g = _length_scan(x, unchecked)
+    gs = x.family.a_factorize(g)
+    return [ALPHA_INV] * i + [Gen(a) for a in gs] + [ALPHA] * (x.m + i)
 
 
 def distance(x, y, unchecked=False):

@@ -1,7 +1,9 @@
+import argparse
 import json
 
+import pytest
 
-from focalgroups.cli import main
+from focalgroups.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -189,3 +191,82 @@ class TestReport:
         code, out, _ = run(capsys, "delta", "--family", "lamplighter:2", "--radius", "3", "--out", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["within_bound"]
+
+
+# The flags each subcommand's handler reads; every subcommand also has --out.
+SUBCOMMAND_FLAGS = {
+    "verify": {"family", "radius", "window", "horizon", "seed"},
+    "ball": {"family", "radius", "window", "seed", "format", "samples"},
+    "delta": {"family", "radius", "window", "seed", "samples"},
+    "nf": {"family"},
+    "dist": {"family", "unchecked"},
+    "classify": {"family", "horizon", "seed", "unchecked", "exact-only"},
+    "beta": {"family", "horizon", "unchecked"},
+    "tree": {"family", "radius", "seed", "format"},
+    "millefeuille": {"radius", "seed", "format"},
+    "schottky": {"family", "horizon", "unchecked"},
+    "report": {"family", "radius", "window", "horizon", "seed"},
+}
+
+
+class TestFlags:
+    def test_each_subcommand_declares_only_the_flags_it_reads(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        declared = {
+            name: {opt[2:] for action in p._actions for opt in action.option_strings if opt.startswith("--")} - {"help"}
+            for name, p in sub.choices.items()
+        }
+        assert declared == {name: flags | {"out"} for name, flags in SUBCOMMAND_FLAGS.items()}
+        assert sum(map(len, declared.values())) == 53
+
+    def test_per_subcommand_defaults(self):
+        parse = build_parser().parse_args
+        assert parse(["report"]).radius == 6
+        assert parse(["tree"]).radius == 4
+        assert parse(["millefeuille", "T3", "T3"]).radius == 3
+        assert parse(["classify"]).horizon == 8
+        assert parse(["beta", "a+"]).horizon == 16
+        assert parse(["schottky", "a+", "a+"]).horizon == 10
+        assert parse(["ball"]).format == "csv"
+        assert parse(["tree"]).format == "json"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nf", "--family", "lamplighter:2", "--seed", "1", "a+"],
+            ["delta", "--family", "lamplighter:2", "--radius", "2", "--format", "csv"],
+            ["report", "--family", "lamplighter:2", "--radius", "2", "--exact-only"],
+            ["millefeuille", "--family", "nadic:2", "T3", "T3"],
+            ["dist", "--family", "nadic:2", "--radius", "3", "a+"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_undeclared_flag_is_config_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: unrecognized arguments")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["delta", "--family", "lamplighter:2", "--window", "3"],
+            ["ball", "--family", "nadic:2", "--window", "2"],
+            ["ball", "--family", "lamplighter:2", "--radius", "2", "--window", "1,2,3,4"],
+        ],
+        ids=["one-part", "one-part-nadic", "four-parts"],
+    )
+    def test_window_needs_two_or_three_parts(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --window")
+
+    def test_window_third_part_sets_levels(self, capsys):
+        code, out, _ = run(capsys, "ball", "--family", "lamplighter:2", "--radius", "2", "--window=-1,1,2", "--format", "json")
+        assert code == 0 and json.loads(out)["window"] == {"lo": -1, "hi": 1, "levels": 2}
+
+    def test_schottky_passes_unchecked(self, capsys):
+        argv = ["schottky", "--family", "spoof-identity:2", "a+", "a+ g{0:1}", "--horizon", "4"]
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "unchecked" in err
+        code, out, _ = run(capsys, *argv, "--unchecked")
+        assert code == 0 and json.loads(out)["injective"] is False

@@ -199,6 +199,22 @@ class TestGeodesicWitness:
             assert evaluate(family, w) == g
             assert len(w) == word_length(g)
 
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+    def test_witness_takes_first_minimizing_index(self, family):
+        for g in sample_points(family, 50, max_len=6, seed=15):
+            target, i = word_length(g), max(0, -g.m)
+            while family.a_length(family.alpha_pow(g.h, i)) + 2 * i + g.m != target:
+                i += 1
+            w = geodesic_witness(g)
+            assert w[:i] == [ALPHA_INV] * i and w[i : i + 1] != [ALPHA_INV]
+
+    def test_refuses_unvalidated_family(self):
+        spoof = SpoofIdentityFamily(2)
+        x = h_point(spoof, spoof.lamp(0))
+        with pytest.raises(UnvalidatedFamilyError):
+            geodesic_witness(x)
+        assert format_word(spoof, geodesic_witness(x, unchecked=True)) == "g{0:1}"
+
 
 class TestBfsOracle:
     def test_radius_zero(self):
