@@ -17,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .metric import QIReport, qi_embedding_check
-from .words import alpha_point, identity_point, word_length
+from .words import alpha_point, identity_point, pairwise_word_lengths, word_length
 
 
 class StabilizationError(RuntimeError):
@@ -212,12 +214,35 @@ class ActionVerdict:
 
 
 def axis_distance(x, unchecked=False):
-    """Distance from x to the cyclic axis {alpha^k}."""
+    """Distance from x to the cyclic axis {alpha^k}.
+
+    For x = (h, m) the exponent projection gives d(x, alpha^k) >= |m - k|,
+    so only k within base = d(x, alpha^m) of m can do better than base.
+    This is the scalar reference for axis_distances."""
     base = word_length(x.inverse() * alpha_point(x.family, x.m), unchecked=unchecked)
     best = base
     for k in range(x.m - base, x.m + base + 1):
         best = min(best, word_length(x.inverse() * alpha_point(x.family, k), unchecked=unchecked))
     return best
+
+
+def axis_distances(xs, unchecked=False):
+    """axis_distance(x) for every x in xs, as an int64 array.
+
+    One pairwise_word_lengths call against alpha^k for k in [min m, max m]
+    gives each base = d(x, alpha^m_x); a second one over k widened by the
+    largest base covers every x's window [m_x - base, m_x + base], and
+    the columns outside it are true distances no smaller than base, so
+    each row minimum is exact."""
+    if not xs:
+        return np.zeros(0, dtype=np.int64)
+    family = xs[0].family
+    ms = np.array([x.m for x in xs], dtype=np.int64)
+    lo, hi = int(ms.min()), int(ms.max())
+    near = pairwise_word_lengths(xs, [alpha_point(family, k) for k in range(lo, hi + 1)], unchecked=unchecked)
+    reach = int(near[np.arange(len(xs)), ms - lo].max())
+    axis = [alpha_point(family, k) for k in range(lo - reach, hi + reach + 1)]
+    return pairwise_word_lengths(xs, axis, unchecked=unchecked).min(axis=1)
 
 
 def _subgroup_closure(generators, L, cap):
@@ -273,11 +298,9 @@ def action_type(generators, L=8, delta=None, cap=20000, unchecked=False):
         gen_len = max(word_length(g, unchecked=unchecked) for g in generators)
         radius = 2 * delta + gen_len
         elems, _closed, capped = _subgroup_closure(generators, L, cap)
-        worst, witness = 0, None
-        for x in elems:
-            dist = axis_distance(x, unchecked=unchecked)
-            if dist > worst:
-                worst, witness = dist, x
+        dists = axis_distances(elems, unchecked=unchecked)
+        far = int(np.argmax(dists))  # the first element at the largest distance
+        worst = int(dists[far])
         if Fraction(worst) <= radius:
             return ActionVerdict(
                 LINEAL,
@@ -292,7 +315,7 @@ def action_type(generators, L=8, delta=None, cap=20000, unchecked=False):
             exact=False,
             witnesses={
                 "axis_radius": float(radius),
-                "escape_witness": repr(witness),
+                "escape_witness": repr(elems[far]),
                 "escape_distance": worst,
             },
             low_confidence=capped,
@@ -308,12 +331,11 @@ def action_type(generators, L=8, delta=None, cap=20000, unchecked=False):
             witnesses={"unbounded_generator": repr(certificate)},
         )
     elems, closed, capped = _subgroup_closure(generators, L, cap)
+    diameter = int(pairwise_word_lengths([identity_point(family)], elems, unchecked=unchecked)[0].max())
     if closed:
-        diameter = max(word_length(x, unchecked=unchecked) for x in elems)
         return ActionVerdict(
             BOUNDED, L, exact=True, witnesses={"subgroup_order": len(elems), "orbit_diameter": diameter}
         )
-    diameter = max(word_length(x, unchecked=unchecked) for x in elems)
     return ActionVerdict(
         HOROCYCLIC,
         L,

@@ -152,6 +152,11 @@ class GroupFamily:
         return f"{type(self).__name__}({items})"
 
 
+def _check_levels(levels):
+    if levels < 0:
+        raise FamilyError(f"window levels = {levels} < 0")
+
+
 @dataclass(frozen=True)
 class LamplighterWindow:
     """Lamp supports restricted to [lo, hi]; alpha-exponents to [-levels, levels]."""
@@ -159,6 +164,11 @@ class LamplighterWindow:
     lo: int
     hi: int
     levels: int
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise FamilyError(f"lamplighter window: lo = {self.lo} > hi = {self.hi}")
+        _check_levels(self.levels)
 
     def as_dict(self):
         return {"lo": self.lo, "hi": self.hi, "levels": self.levels}
@@ -368,6 +378,13 @@ class NadicWindow:
     dpow: int
     levels: int
 
+    def __post_init__(self):
+        if self.xmax < 0:
+            raise FamilyError(f"n-adic window: xmax = {self.xmax} < 0")
+        if self.dpow < 0:
+            raise FamilyError(f"n-adic window: dpow = {self.dpow} < 0")
+        _check_levels(self.levels)
+
     def as_dict(self):
         return {"xmax": self.xmax, "dpow": self.dpow, "levels": self.levels}
 
@@ -541,6 +558,9 @@ class ProductWindow:
     right: object
     levels: int
     cap: int = 20000
+
+    def __post_init__(self):
+        _check_levels(self.levels)
 
     def as_dict(self):
         return {"left": self.left.as_dict(), "right": self.right.as_dict(), "levels": self.levels}

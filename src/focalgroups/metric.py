@@ -222,18 +222,19 @@ def delta_within_bound(delta: Fraction, n0: int) -> bool:
 @dataclass
 class QIReport:
     """Tightest witnessed two-sided affine bounds between two distance
-    samples: (1/multiplicative) s - additive <= t <= multiplicative s + additive."""
+    samples: (1/multiplicative) s - additive <= t <= multiplicative s + additive.
+    `samples` is the number of distinct (s, t) pairs the bounds rest on."""
 
     multiplicative_constant: Fraction
     additive_constant: Fraction
-    horizon: int
+    samples: int
     injective: bool
 
     def as_dict(self):
         return {
             "multiplicative_constant": float(self.multiplicative_constant),
             "additive_constant": float(self.additive_constant),
-            "horizon": self.horizon,
+            "samples": self.samples,
             "injective": self.injective,
         }
 

@@ -1,6 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_words import H_STRATEGIES, point_lists
 
 from focalgroups.boundary import (
     BOUNDED,
@@ -13,14 +17,15 @@ from focalgroups.boundary import (
     StabilizationError,
     action_type,
     axis_distance,
+    axis_distances,
     busemann_quasicharacter,
     horokernel,
     isometry_type,
     schottky_semigroup_check,
     translation_number,
 )
-from focalgroups.families import LamplighterFamily, NadicFamily
-from focalgroups.words import alpha_point, h_point, identity_point, sample_points
+from focalgroups.families import LamplighterFamily, NadicFamily, SpoofIdentityFamily
+from focalgroups.words import UnvalidatedFamilyError, alpha_point, h_point, identity_point, sample_points
 
 L2 = LamplighterFamily(2)
 N2 = NadicFamily(2)
@@ -174,7 +179,14 @@ class TestActionType:
         gens = [h_point(L2, L2.lamp(i)) for i in (0, 1, 2)]
         v = action_type(gens)
         assert v.kind == BOUNDED and v.exact
-        assert v.witnesses["subgroup_order"] == 8
+        assert v.witnesses == {"subgroup_order": 8, "orbit_diameter": 1}
+
+    def test_unclosed_lamp_orbit_is_horocyclic(self):
+        # Lamp -3 lies outside A: reaching it takes 2*3 + 1 letters.
+        gens = [h_point(L2, L2.lamp(i)) for i in (0, 1, 2, -3)]
+        v = action_type(gens, L=2)
+        assert v.kind == HOROCYCLIC and not v.exact
+        assert v.witnesses == {"elements_seen": 11, "orbit_diameter": 7}
 
     def test_nadic_A_generators_horocyclic(self):
         v = action_type([h_point(N2, N2.element(1))])
@@ -189,6 +201,53 @@ class TestActionType:
     def test_empty_generators_rejected(self):
         with pytest.raises(ValueError):
             action_type([])
+
+
+class TestAxisDistances:
+    @pytest.mark.parametrize("spec", sorted(H_STRATEGIES))
+    @given(data=st.data())
+    def test_matches_scalar_axis_distance(self, spec, data):
+        family, hs = H_STRATEGIES[spec]
+        xs = data.draw(point_lists(family, hs), label="xs")
+        got = axis_distances(xs)
+        assert got.dtype == np.int64
+        assert got.tolist() == [axis_distance(x) for x in xs]
+
+    def test_empty(self):
+        assert axis_distances([]).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "gens, kind, witnesses",
+        [
+            (
+                [alpha_point(L2, 1), h_point(L2, L2.lamp(0))],
+                FOCAL,
+                {"axis_radius": 3.0, "escape_witness": "({0:1}, 7)", "escape_distance": 8},
+            ),
+            (
+                [alpha_point(N2, 1), h_point(N2, N2.element(1))],
+                FOCAL,
+                {"axis_radius": 3.0, "escape_witness": "({1}, 7)", "escape_distance": 8},
+            ),
+            ([alpha_point(L2, 1)], LINEAL, {"axis_radius": 3.0, "max_axis_distance": 0}),
+            ([alpha_point(N2, 2)], LINEAL, {"axis_radius": 4.0, "max_axis_distance": 0}),
+        ],
+        ids=["focal-lamplighter", "focal-nadic", "lineal-lamplighter", "lineal-nadic"],
+    )
+    def test_verdict_witnesses_pinned(self, gens, kind, witnesses):
+        # Pinned from the scalar axis_distance scan: the witness is the
+        # first closure element at the largest distance.
+        v = action_type(gens, L=8)
+        assert v.kind == kind and v.witnesses == witnesses
+
+    def test_unvalidated_family_refused(self):
+        spoof = SpoofIdentityFamily(2)
+        xs = [alpha_point(spoof, 1), h_point(spoof, spoof.lamp(0))]
+        with pytest.raises(UnvalidatedFamilyError):
+            axis_distances(xs)
+        with pytest.raises(UnvalidatedFamilyError):
+            action_type(xs)
+        assert axis_distances(xs, unchecked=True).tolist() == [axis_distance(x, unchecked=True) for x in xs]
 
 
 class TestSchottky:

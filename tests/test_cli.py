@@ -132,6 +132,18 @@ class TestClassify:
         code, _, _ = run(capsys, "classify", "--family", "nadic:2", "g{1}", "--exact-only")
         assert code == 0
 
+    def test_spoof_unchecked_matches_scalar_scan(self, capsys):
+        # Pinned from the scalar axis_distance scan.
+        code, out, _ = run(capsys, "classify", "--family", "spoof-identity:2", "--unchecked", "a+", "g{0:1}")
+        assert code == 0
+        assert json.loads(out)["action"] == {
+            "exact": False,
+            "horizon": 8,
+            "low_confidence": False,
+            "type": "lineal",
+            "witnesses": {"axis_radius": 3.0, "max_axis_distance": 1},
+        }
+
     def test_long_lamp_token(self, capsys):
         code, out, _ = run(capsys, "nf", "--family", "lamplighter:2", "g{lamps:{0:1}} a-")
         payload = json.loads(out)
@@ -143,6 +155,11 @@ class TestTreeAndMillefeuille:
         code, out, _ = run(capsys, "tree", "--family", "lamplighter:2", "--radius", "3")
         payload = json.loads(out)
         assert code == 0 and payload["interior_degrees"] == [3]
+
+    def test_tree_orbit_probe_counts_samples(self, capsys):
+        _, out, _ = run(capsys, "tree", "--family", "lamplighter:2", "--radius", "3")
+        probe = json.loads(out)["orbit_probe"]
+        assert "horizon" not in probe and probe["samples"] > 0
 
     def test_tree_dot(self, capsys):
         code, out, _ = run(capsys, "tree", "--family", "lamplighter:3", "--radius", "2", "--format", "dot")
@@ -173,6 +190,13 @@ class TestSchottky:
         _, out, _ = run(capsys, "schottky", "--family", "lamplighter:2", "g{0:1}", "g{1:1}", "--horizon", "6")
         payload = json.loads(out)
         assert not payload["injective"] and payload["collision"]
+
+    def test_horizon_is_the_flag(self, capsys):
+        _, out, _ = run(capsys, "schottky", "--family", "lamplighter:2", "a+", "a+ g{0:1}", "--horizon", "3")
+        payload = json.loads(out)
+        assert payload["horizon"] == 3
+        # distinct (word length, d(1, value)) pairs behind the QI constants
+        assert payload["samples"] == 6
 
 
 class TestReport:
@@ -259,6 +283,22 @@ class TestFlags:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: --window")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["delta", "--family", "nadic:2", "--radius", "2", "--window=-1,-1"],
+            ["ball", "--family", "nadic:2", "--radius", "2", "--window=2,-1"],
+            ["ball", "--family", "lamplighter:2", "--radius", "2", "--window", "3,-3"],
+            ["ball", "--family", "lamplighter:2", "--radius", "-1"],
+            ["ball", "--family", "product(lamplighter:2,nadic:2)", "--radius", "-1"],
+        ],
+        ids=["nadic-xmax", "nadic-dpow", "lamplighter-lo-above-hi", "negative-radius", "product-negative-radius"],
+    )
+    def test_window_out_of_range(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "window" in err
 
     def test_window_third_part_sets_levels(self, capsys):
         code, out, _ = run(capsys, "ball", "--family", "lamplighter:2", "--radius", "2", "--window=-1,1,2", "--format", "json")

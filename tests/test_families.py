@@ -176,6 +176,13 @@ class TestCompactionIndex:
         assert ProductFamily(L2, N3).compaction_index() == 6
 
 
+class TestWindows:
+    def test_degenerate_bounds_allowed(self):
+        # Single-position, zero-size and zero-level windows stay valid.
+        assert list(L2.iter_window(LamplighterWindow(0, 0, 0))) == [(), ((0, 1),)]
+        assert list(N2.iter_window(NadicWindow(0, 0, 0))) == [Fraction(0)]
+
+
 class TestSerialization:
     @pytest.mark.parametrize("family", ALL, ids=lambda f: f.name)
     def test_json_round_trip(self, family):
