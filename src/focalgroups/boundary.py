@@ -285,7 +285,8 @@ def action_type(generators, L=8, delta=None, cap=20000, unchecked=False):
     General type is never emitted: these ambient groups fix an end, so
     every subgroup action is bounded, horocyclic, lineal or focal.  The
     lineal/focal split uses the axis neighbourhood of radius
-    2*delta + max generator length.
+    2*delta + max generator length, so `delta` must be an upper bound on
+    the four-point constant (DeltaReport.upper).
     """
     if not generators:
         raise ValueError("need at least one generator")

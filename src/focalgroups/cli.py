@@ -62,13 +62,15 @@ def _parse_point(family, text):
     return words.evaluate(family, words.parse_word(family, text))
 
 
-def _delta_verdict(family, D, seed, samples=metric.DEFAULT_SAMPLES):
+def _delta_verdict(family, D, seed):
     """The four-point constant of D against the thin-triangle bound for
-    family: (report, payload with `bound` and `within_bound` added)."""
-    report = metric.four_point_delta(D, samples=samples, seed=seed)
+    family: (report, payload with `bound` and `within_bound` added).  The
+    verdict rests on the report's upper bound, so it holds for the exact
+    constant."""
+    report = metric.four_point_delta(D, seed=seed)
     payload = report.as_dict()
     payload["bound"] = metric.hyperbolicity_bound(family.n0)
-    payload["within_bound"] = metric.delta_within_bound(report.delta, family.n0)
+    payload["within_bound"] = metric.delta_within_bound(report.upper, family.n0)
     return report, payload
 
 
@@ -139,7 +141,7 @@ def cmd_delta(args):
     family = _family(args)
     window = _window(family, args)
     _, D = words.ball_points(family, args.radius, window=window, seed=args.seed)
-    _, payload = _delta_verdict(family, D, args.seed, samples=args.samples or metric.DEFAULT_SAMPLES)
+    _, payload = _delta_verdict(family, D, args.seed)
     payload.update({"family": family.config(), "window": window.as_dict(), "radius": args.radius})
     _emit(args, payload)
     return 0 if payload["within_bound"] else 2
@@ -314,7 +316,7 @@ def cmd_report(args):
             for a in list(family.iter_A_window(window))[:2]
             if a != family.identity()
         ]
-        payload["action"] = boundary.action_type(gens, L=args.horizon, delta=delta.delta).as_dict()
+        payload["action"] = boundary.action_type(gens, L=args.horizon, delta=delta.upper).as_dict()
     _emit(args, payload)
     return 0
 
@@ -331,7 +333,7 @@ OPTIONS = {
     "horizon": dict(type=int, default=8),
     "seed": dict(type=int, default=0),
     "format": dict(choices=["json", "csv", "dot"], default="json"),
-    "samples": dict(type=int, default=None, help="ball: sample this many points instead of exhausting the window; delta: quadruple sample count beyond the exhaustive cutoff"),
+    "samples": dict(type=int, default=None, help="sample this many ball points instead of exhausting the window"),
     "unchecked": dict(action="store_true", help="trust unvalidated a_length oracles"),
     "exact-only": dict(action="store_true", help="exit 2 unless every emitted verdict is exact"),
     "out": dict(default=None, help="write the report to this path"),
@@ -351,7 +353,7 @@ def build_parser():
 
     add("verify", cmd_verify, "confining axioms and distortion inclusions", ("family", "radius", "window", "horizon", "seed"))
     add("ball", cmd_ball, "windowed ball with exact pairwise distances", ("family", "radius", "window", "seed", "format", "samples"), format="csv")
-    add("delta", cmd_delta, "four-point hyperbolicity constant of a ball", ("family", "radius", "window", "seed", "samples"))
+    add("delta", cmd_delta, "four-point hyperbolicity constant of a ball", ("family", "radius", "window", "seed"))
 
     p = add("nf", cmd_nf, "rewrite a word to normal form", ("family",))
     p.add_argument("word", help="word like 'a- g{0:1} a+'")

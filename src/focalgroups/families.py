@@ -665,12 +665,18 @@ class ProductFamily(GroupFamily):
         )
 
     def iter_window(self, window):
-        pairs = itertools.product(self.left.iter_window(window.left), self.right.iter_window(window.right))
-        return itertools.islice(pairs, window.cap)
+        return self._capped(window, list(self.left.iter_window(window.left)), list(self.right.iter_window(window.right)))
 
     def iter_A_window(self, window):
-        pairs = itertools.product(self.left.iter_A_window(window.left), self.right.iter_A_window(window.right))
-        return itertools.islice(pairs, window.cap)
+        return self._capped(window, list(self.left.iter_A_window(window.left)), list(self.right.iter_A_window(window.right)))
+
+    @staticmethod
+    def _capped(window, left, right):
+        """All pairs, or FamilyError when there are more than window.cap."""
+        size = len(left) * len(right)
+        if size > window.cap:
+            raise FamilyError(f"product window has {size} elements, above its cap of {window.cap}")
+        return itertools.product(left, right)
 
     def in_window(self, h, window):
         return self.left.in_window(h[0], window.left) and self.right.in_window(h[1], window.right)

@@ -3,8 +3,8 @@ products, the four-point hyperbolicity constant, two-sided affine
 embedding constants, and all-pairs distances of finite graphs.
 
 All rational values are computed in scaled-integer arithmetic and
-returned as Fractions; floats never enter a comparison.  The quadruple
-enumeration behind the four-point constant is vectorized with numpy.
+returned as Fractions; floats never enter a comparison.  The four-point
+constant is a (max,min) matrix product per basepoint, computed with numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ _speedups = None
 USE_SPEEDUPS = False
 
 EXHAUSTIVE_CUTOFF = 64
-DEFAULT_SAMPLES = 200_000
+# Basepoints drawn besides the centre above the exhaustive cutoff.
+SEEDED_BASEPOINTS = 1
 
 
 class MetricError(ValueError):
@@ -141,15 +142,32 @@ def gromov_product(x, y, base, D: DistanceMatrix) -> Fraction:
 
 @dataclass
 class DeltaReport:
+    """The four-point constant of a finite metric as an interval.
+
+    `delta` is attained by the quadruple `witness` = (x, y, z, w) of point
+    ids, so it is a lower bound; `upper` is an upper bound, and the two are
+    equal when `method` is "exact".  `samples` counts the ordered
+    quadruples covered, |basepoints| * n**3.
+    """
+
     delta: Fraction
+    upper: Fraction
     n_points: int
-    exhaustive: bool
+    method: str
     samples: int
     seed: int | None
+    witness: tuple
+
+    @property
+    def exhaustive(self):
+        return self.method == "exact"
 
     def as_dict(self):
         return {
             "delta": float(self.delta),
+            "upper": float(self.upper),
+            "method": self.method,
+            "witness": list(self.witness),
             "n_points": self.n_points,
             "exhaustive": self.exhaustive,
             "samples": self.samples,
@@ -157,50 +175,89 @@ class DeltaReport:
         }
 
 
-def _defect2_exhaustive_numpy(d):
-    n = d.shape[0]
-    best = 0
-    for x in range(n):
-        gp2 = d[x][:, None] + d[x][None, :] - d
-        m = np.full((n, n), np.iinfo(np.int64).min, dtype=np.int64)
-        for w in range(n):
-            np.maximum(m, np.minimum(gp2[:, w][:, None], gp2[w][None, :]), out=m)
-        best = max(best, int((m - gp2).max()))
-    return best
+def _defect2_at(d, xs):
+    """Twice the four-point constant at each basepoint x in `xs`: the
+    largest min(g[y,w], g[w,z]) - g[y,z] over y, z, w, where g = d[x,:,None]
+    + d[x,None,:] - d holds the doubled Gromov products at x.  `d` must be
+    a metric.  Returns (defects, yz), where yz[i] is a pair (y, z) of point
+    indices that attains defects[i] at xs[i].
 
-
-def _defect2_quadruples_numpy(d, xs, ys, zs, ws):
-    gyz = d[xs, ys] + d[xs, zs] - d[ys, zs]
-    gyw = d[xs, ys] + d[xs, ws] - d[ys, ws]
-    gwz = d[xs, ws] + d[xs, zs] - d[ws, zs]
-    defect = np.minimum(gyw, gwz) - gyz
-    return max(0, int(defect.max()))
+    The (max,min) product of g with itself is at least v exactly where the
+    boolean product of (g >= v) with itself is nonzero, so each distinct
+    value v of g costs one float32 matmul per basepoint (exact: it counts
+    0/1 products and n < 2**24), and the defect is the largest v - g[y,z]
+    over the pairs it reaches (Fournier, Ismail and Vigneron, Inform.
+    Process. Lett. 2015).  The levels run from the top: g[y,w] <=
+    2 min(d(x,y), d(x,w)), so level v only involves the points with
+    2 d(x,.) >= v, a prefix once each basepoint's points are sorted
+    farthest first; and no level v can raise a defect above v - min g, so
+    the scan stops when that no longer beats the least defect found.
+    """
+    xs = np.asarray(xs, dtype=np.intp)
+    order = np.argsort(-d[xs], axis=1, kind="stable")
+    dx = np.take_along_axis(d[xs], order, axis=1)
+    g = dx[:, :, None] + dx[:, None, :] - d[order[:, :, None], order[:, None, :]]
+    levels = np.unique(g)[::-1]
+    prefix = (2 * dx[:, :, None] >= levels).sum(axis=1).max(axis=0)
+    gmin, rows = int(levels[-1]), np.arange(len(xs))
+    best = np.zeros(len(xs), dtype=np.int64)
+    at = np.zeros(len(xs), dtype=np.intp)
+    for v, k in zip(levels.tolist(), prefix.tolist()):
+        if v - gmin <= best.min():
+            break
+        gk = g[:, :k, :k]
+        b = (gk >= v).astype(np.float32)
+        cand = np.where(np.matmul(b, b) > 0, v - gk, 0).reshape(len(xs), -1)
+        arg = cand.argmax(axis=1)
+        top = cand[rows, arg]
+        better = top > best
+        best[better] = top[better]
+        at[better] = np.ravel_multi_index(np.unravel_index(arg[better], (k, k)), g.shape[1:])
+    y, z = np.unravel_index(at, g.shape[1:])
+    return best, np.stack([order[rows, y], order[rows, z]], axis=1)
 
 
 def four_point_delta(
     D: DistanceMatrix,
     exhaustive_cutoff: int = EXHAUSTIVE_CUTOFF,
-    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> DeltaReport:
     """Least delta >= 0 with (y|z)_x >= min[(y|w)_x, (w|z)_x] - delta over
     ordered quadruples (the basepoint ranges over the points too).
 
-    Exhaustive for point sets up to `exhaustive_cutoff`; beyond that a
-    seeded uniform sample of quadruples is scanned and the seed recorded,
-    so the value is a certified lower bound for the true constant.
+    Exact for point sets up to `exhaustive_cutoff`: every point is a
+    basepoint.  Beyond it, the basepoints are the centre (the first point
+    of least eccentricity) and SEEDED_BASEPOINTS other points drawn with
+    `seed`; `delta` is the largest constant at one of them, and `upper`
+    twice the least, since the four-point constant at one basepoint bounds
+    the constant at every other by a factor of 2 (Bridson-Haefliger,
+    III.H.1.22).
     """
     n = len(D)
     if n < 1:
         raise MetricError("need at least one point")
     d = D.d
     if n <= exhaustive_cutoff:
-        defect2 = _defect2_exhaustive_numpy(d)
-        return DeltaReport(Fraction(defect2, 2), n, True, n**4, None)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(4, samples), dtype=np.int64)
-    defect2 = _defect2_quadruples_numpy(d, idx[0], idx[1], idx[2], idx[3])
-    return DeltaReport(Fraction(defect2, 2), n, False, samples, seed)
+        xs, method, seed = np.arange(n), "exact", None
+    else:
+        centre = int(np.argmin(d.max(axis=1)))
+        others = np.delete(np.arange(n), centre)
+        drawn = np.random.default_rng(seed).choice(others, min(SEEDED_BASEPOINTS, n - 1), replace=False)
+        xs, method = np.concatenate([[centre], drawn]), "basepoints"
+    defects, yz = _defect2_at(d, xs)
+    i = int(np.argmax(defects))
+    x, (y, z) = int(xs[i]), yz[i].tolist()
+    w = int(np.argmax(np.minimum(d[x, y] + d[x] - d[y], d[x] + d[x, z] - d[:, z])))
+    upper = defects[i] if method == "exact" else 2 * defects.min()
+    return DeltaReport(
+        delta=Fraction(int(defects[i]), 2),
+        upper=Fraction(int(upper), 2),
+        n_points=n,
+        method=method,
+        samples=len(xs) * n**3,
+        seed=seed,
+        witness=tuple(D.points[j] for j in (x, y, z, w)),
+    )
 
 
 def hyperbolicity_bound(n0: int) -> float:

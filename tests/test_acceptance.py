@@ -93,11 +93,11 @@ def test_criterion_1_delta_bound(radius6):
     ok = True
     for family, bound_text in ((L2, "16"), (N2, "16*log2(3)")):
         entry = radius6[family]
-        within = delta_within_bound(entry["delta"].delta, family.n0)
+        within = delta_within_bound(entry["delta"].upper, family.n0)
         in_time = entry["elapsed"] < 120.0
         ok = ok and within and in_time
         details.append(
-            f"{family.name}: delta={entry['delta'].delta} <= {bound_text} on "
+            f"{family.name}: delta in [{entry['delta'].delta}, {entry['delta'].upper}] <= {bound_text} on "
             f"{entry['delta'].n_points} points in {entry['elapsed']:.1f}s"
         )
     report(1, ok, "; ".join(details))

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from focalgroups.cli import build_parser, main
+from focalgroups.cli import _delta_verdict, build_parser, main
+from focalgroups.families import LamplighterFamily
+from focalgroups.metric import graph_distance_matrix
 
 
 def run(capsys, *argv):
@@ -41,7 +43,8 @@ class TestDelta:
         payload = json.loads(out)
         assert payload["within_bound"]
         assert payload["bound"] == 16.0
-        assert {"delta", "n_points", "exhaustive", "samples", "seed"} <= set(payload)
+        assert {"delta", "upper", "method", "witness", "n_points", "exhaustive", "samples", "seed"} <= set(payload)
+        assert payload["method"] == "basepoints" and payload["delta"] <= payload["upper"]
 
     def test_nadic_bound_value(self, capsys):
         code, out, _ = run(capsys, "delta", "--family", "nadic:2", "--radius", "4", "--window", "2,3")
@@ -53,6 +56,29 @@ class TestDelta:
         _, out1, _ = run(capsys, "delta", "--family", "lamplighter:2", "--radius", "5", "--seed", "7")
         _, out2, _ = run(capsys, "delta", "--family", "lamplighter:2", "--radius", "5", "--seed", "7")
         assert out1 == out2
+
+    def test_verdict_rests_on_the_upper_bound(self):
+        # A 48-cycle with a 20-vertex tail: above the exact cutoff, its interval
+        # [12, 24] straddles lamplighter:2's bound of 16, so only the lower end fits.
+        n, tail = 48, 20
+        adjacency = [[(i - 1) % n, (i + 1) % n] for i in range(n)] + [[] for _ in range(tail)]
+        for j in range(n, n + tail):
+            adjacency[j].append(j - 1 if j > n else 0)
+            adjacency[j - 1 if j > n else 0].append(j)
+        D = graph_distance_matrix(list(range(n + tail)), adjacency)
+        report, payload = _delta_verdict(LamplighterFamily(2), D, seed=0)
+        assert (report.delta, report.upper, payload["bound"]) == (12, 24, 16.0)
+        assert not payload["within_bound"]
+
+    def test_no_samples_flag(self, capsys):
+        code, out, err = run(capsys, "delta", "--family", "lamplighter:2", "--radius", "2", "--samples", "10")
+        assert code == 1 and out == ""
+        assert err.startswith("error: unrecognized arguments")
+
+    def test_product_window_above_cap_is_config_error(self, capsys):
+        code, out, err = run(capsys, "delta", "--family", "product(lamplighter:2,nadic:2)", "--radius", "7")
+        assert code == 1 and out == ""
+        assert err == "error: product window has 20608 elements, above its cap of 20000\n"
 
 
 class TestBall:
@@ -171,9 +197,10 @@ class TestTreeAndMillefeuille:
         assert code == 0
         assert payload["interior_degrees"] == [5]
         assert payload["delta"] == 0.0
-        # 106 vertices is above the exhaustive cutoff: delta is a sampled lower bound
-        assert payload["exhaustive"] is False
-        assert payload["samples"] == 200000
+        # 106 vertices is above the exhaustive cutoff: two basepoints bound delta
+        assert payload["exhaustive"] is False and payload["method"] == "basepoints"
+        assert payload["upper"] == 0.0
+        assert payload["samples"] == 2 * 106**3
 
     def test_bad_tree_spec(self, capsys):
         code, _, err = run(capsys, "millefeuille", "Q9", "T3")
@@ -210,6 +237,15 @@ class TestReport:
         code2, out2, _ = run(capsys, "report", "--family", "nadic:2", "--radius", "4", "--seed", "3")
         assert out1 == out2
 
+    def test_axis_radius_from_upper_bound(self, capsys):
+        code, out, _ = run(capsys, "report", "--family", "lamplighter:2", "--radius", "3")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["delta"]["delta"], payload["delta"]["upper"]) == (1.0, 2.0)
+        # 2*delta + the longest generator (length 1), with delta the upper bound
+        assert payload["action"]["witnesses"]["axis_radius"] == 5.0
+        assert payload["action"]["type"] == "focal"
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "delta", "--family", "lamplighter:2", "--radius", "3", "--out", str(target))
@@ -221,7 +257,7 @@ class TestReport:
 SUBCOMMAND_FLAGS = {
     "verify": {"family", "radius", "window", "horizon", "seed"},
     "ball": {"family", "radius", "window", "seed", "format", "samples"},
-    "delta": {"family", "radius", "window", "seed", "samples"},
+    "delta": {"family", "radius", "window", "seed"},
     "nf": {"family"},
     "dist": {"family", "unchecked"},
     "classify": {"family", "horizon", "seed", "unchecked", "exact-only"},
@@ -241,7 +277,7 @@ class TestFlags:
             for name, p in sub.choices.items()
         }
         assert declared == {name: flags | {"out"} for name, flags in SUBCOMMAND_FLAGS.items()}
-        assert sum(map(len, declared.values())) == 53
+        assert sum(map(len, declared.values())) == 52
 
     def test_per_subcommand_defaults(self):
         parse = build_parser().parse_args

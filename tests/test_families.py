@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,10 +29,18 @@ PROD = ProductFamily(L2, N3)
 ALL = [L2, L3, N2, N3, PROD]
 
 
+def window_elements(family, radius=5):
+    """Every element of the default window; a product's window is above its
+    cap at radius 5, so its pairs come from the factor windows directly."""
+    window = family.default_window(radius)
+    if isinstance(family, ProductFamily):
+        return list(itertools.product(family.left.iter_window(window.left), family.right.iter_window(window.right)))
+    return list(family.iter_window(window))
+
+
 def sample_elements(family, count, seed=0):
     rng = random.Random(seed)
-    window = family.default_window(5)
-    pool = list(family.iter_window(window))
+    pool = window_elements(family)
     return [rng.choice(pool) for _ in range(count)]
 
 
@@ -52,9 +62,8 @@ class TestGroupAxioms:
 
     @pytest.mark.parametrize("family", ALL, ids=lambda f: f.name)
     def test_canonical_bytes_injective(self, family):
-        window = family.default_window(5)
         seen = {}
-        for h in family.iter_window(window):
+        for h in window_elements(family):
             key = family.canonical_bytes(h)
             assert key not in seen or seen[key] == h
             seen[key] = h
@@ -111,7 +120,8 @@ class TestConfining:
         assert not N2.in_A(Fraction(2))
 
     def test_product_passes(self):
-        assert verify_confining(PROD).passed
+        # The default window (radius 6) is above the product cap; radius 4 fits whole.
+        assert verify_confining(PROD, PROD.default_window(4)).passed
 
     def test_identity_alpha_fails(self):
         report = verify_confining(SpoofIdentityFamily(2))
@@ -181,6 +191,24 @@ class TestWindows:
         # Single-position, zero-size and zero-level windows stay valid.
         assert list(L2.iter_window(LamplighterWindow(0, 0, 0))) == [(), ((0, 1),)]
         assert list(N2.iter_window(NadicWindow(0, 0, 0))) == [Fraction(0)]
+
+
+    def test_product_window_yields_every_element_up_to_its_cap(self):
+        prod = ProductFamily(L2, N2)
+        window = prod.default_window(6)
+        elements = list(prod.iter_window(window))
+        assert len(elements) == len(set(elements)) == 16512 <= window.cap
+        left = list(L2.iter_window(window.left))
+        right = list(N2.iter_window(window.right))
+        assert len(elements) == len(left) * len(right)
+
+    def test_product_window_above_its_cap_raises(self):
+        prod = ProductFamily(L2, N2)
+        window = prod.default_window(7)
+        with pytest.raises(FamilyError, match="20608 elements, above its cap of 20000"):
+            prod.iter_window(window)
+        with pytest.raises(FamilyError, match="above its cap of 3"):
+            prod.iter_A_window(dataclasses.replace(window, cap=3))
 
 
 class TestSerialization:

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from focalgroups import families
 from focalgroups.metric import (
     DistanceMatrix,
     MetricError,
@@ -15,22 +18,37 @@ from focalgroups.metric import (
     gromov_product,
     hyperbolicity_bound,
     qi_embedding_check,
-    _defect2_exhaustive_numpy,
-    _defect2_quadruples_numpy,
+    _defect2_at,
 )
+from focalgroups.words import ball_points
 
 
 def reference_delta(D):
     """Independent oracle: plain Fraction arithmetic over all quadruples."""
-    n = len(D)
     pts = D.points
+    gp = {(x, y, z): gromov_product(y, z, x, D) for x, y, z in itertools.product(pts, repeat=3)}
     best = Fraction(0)
     for x, y, z, w in itertools.product(pts, repeat=4):
-        gyz = gromov_product(y, z, x, D)
-        gyw = gromov_product(y, w, x, D)
-        gwz = gromov_product(w, z, x, D)
-        best = max(best, min(gyw, gwz) - gyz)
+        best = max(best, min(gp[x, y, w], gp[x, w, z]) - gp[x, y, z])
     return best
+
+
+def quadruple_defect(D, x, y, z, w):
+    """min[(y|w)_x, (w|z)_x] - (y|z)_x in Fraction arithmetic."""
+    return min(gromov_product(y, w, x, D), gromov_product(w, z, x, D)) - gromov_product(y, z, x, D)
+
+
+@st.composite
+def graph_metrics(draw, max_n=12):
+    """Graph metrics on a path through 1..max_n points plus random chords."""
+    n = draw(st.integers(1, max_n))
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    adjacency = [set() for _ in range(n)]
+    for a, b in [(i, i + 1) for i in range(n - 1)] + chords:
+        if a != b:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    return graph_distance_matrix(list(range(n)), [sorted(s) for s in adjacency])
 
 
 def path_metric(n):
@@ -147,34 +165,79 @@ class TestFourPointDelta:
         for seed in range(4):
             D = random_graph_metric(14, seed=seed)
             expected = int(2 * reference_delta(D))
-            assert _defect2_exhaustive_numpy(D.d) == expected
+            defects, _ = _defect2_at(D.d, np.arange(len(D)))
+            assert defects.max() == expected
 
     def test_sampled_mode_deterministic_and_bounded(self):
         D = random_graph_metric(80, seed=3)
-        r1 = four_point_delta(D, samples=20000, seed=42)
-        r2 = four_point_delta(D, samples=20000, seed=42)
-        assert not r1.exhaustive and r1.seed == 42
-        assert r1.delta == r2.delta
-        # a sampled value is a lower bound for the exhaustive constant
+        r1 = four_point_delta(D, seed=42)
+        r2 = four_point_delta(D, seed=42)
+        assert not r1.exhaustive and r1.method == "basepoints" and r1.seed == 42
+        assert r1 == r2
+        assert r1.samples == 2 * 80**3
+        # the basepoint interval brackets the exhaustive constant
         full = four_point_delta(D, exhaustive_cutoff=len(D))
-        assert r1.delta <= full.delta
+        assert full.exhaustive and full.delta == full.upper
+        assert r1.delta <= full.delta <= r1.upper
 
     def test_quadruple_kernels_agree(self):
         D = random_graph_metric(30, seed=7)
+        xs = np.arange(len(D))
+        defects, yz = _defect2_at(D.d, xs)
+        # no quadruple beats the kernel at its basepoint ...
         rng = np.random.default_rng(0)
         idx = rng.integers(0, len(D), size=(4, 5000), dtype=np.int64)
-        pure = _defect2_quadruples_numpy(D.d, idx[0], idx[1], idx[2], idx[3])
-        best = Fraction(0)
         for x, y, z, w in zip(*(map(int, row) for row in idx)):
-            gyz = gromov_product(y, z, x, D)
-            gyw = gromov_product(y, w, x, D)
-            gwz = gromov_product(w, z, x, D)
-            best = max(best, min(gyw, gwz) - gyz)
-        assert pure == 2 * best
+            assert 2 * quadruple_defect(D, x, y, z, w) <= defects[x]
+        # ... and each basepoint's pair (y, z) attains it with some w
+        for x in xs.tolist():
+            y, z = yz[x].tolist()
+            assert max(2 * quadruple_defect(D, x, y, z, w) for w in range(len(D))) == defects[x]
+
+    @given(D=graph_metrics())
+    def test_exact_mode_matches_reference(self, D):
+        report = four_point_delta(D)
+        assert report.method == "exact" and report.seed is None
+        assert report.delta == report.upper == reference_delta(D)
+        assert quadruple_defect(D, *report.witness) == report.delta
+        assert report.samples == len(D) ** 4
+
+    @given(D=graph_metrics(), data=st.data())
+    def test_basepoint_interval_brackets_reference(self, D, data):
+        cutoff = data.draw(st.integers(0, len(D) - 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        report = four_point_delta(D, exhaustive_cutoff=cutoff, seed=seed)
+        assert report.method == "basepoints" and report.seed == seed
+        assert report.delta <= reference_delta(D) <= report.upper
+        assert quadruple_defect(D, *report.witness) == report.delta
+        assert report.samples == min(2, len(D)) * len(D) ** 3
+        assert four_point_delta(D, exhaustive_cutoff=cutoff, seed=seed) == report
+
+    @pytest.mark.parametrize(
+        "spec, radius, window, interval",
+        [
+            ("lamplighter:2", 4, None, (1, 2)),
+            ("lamplighter:2", 5, families.LamplighterWindow(-2, 2, 5), (1, 2)),
+            ("nadic:2", 3, None, (Fraction(3, 2), 2)),
+            (
+                "product(lamplighter:2,nadic:2)",
+                2,
+                families.ProductWindow(families.LamplighterWindow(-1, 1, 2), families.NadicWindow(1, 1, 2), 2),
+                (1, 2),
+            ),
+        ],
+        ids=["lamplighter2-r4", "lamplighter2-r5-window", "nadic2-r3", "product-r2-window"],
+    )
+    def test_benchmark_ball_intervals(self, spec, radius, window, interval):
+        _, D = ball_points(families.family_from_config(spec), radius, window=window)
+        report = four_point_delta(D)
+        assert report.method == "basepoints"
+        assert (report.delta, report.upper) == interval
+        assert quadruple_defect(D, *report.witness) == report.delta
 
     def test_report_json_fields(self):
         rep = four_point_delta(path_metric(5)).as_dict()
-        assert set(rep) == {"delta", "n_points", "exhaustive", "samples", "seed"}
+        assert set(rep) == {"delta", "upper", "method", "witness", "n_points", "exhaustive", "samples", "seed"}
 
 
 class TestBoundComparison:
