@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .metric import QIReport, qi_embedding_check
-from .words import alpha_point, identity_point, pairwise_word_lengths, word_length
+from .words import Products, alpha_point, breadth_first, identity_point, pairwise_word_lengths, word_length
 
 
 class StabilizationError(RuntimeError):
@@ -202,6 +202,7 @@ class ActionVerdict:
     exact: bool
     witnesses: dict = field(default_factory=dict)
     low_confidence: bool = False
+    complete: bool = True  # False when the subgroup closure hit its cap
 
     def as_dict(self):
         return {
@@ -210,6 +211,7 @@ class ActionVerdict:
             "exact": self.exact,
             "witnesses": self.witnesses,
             "low_confidence": self.low_confidence,
+            "complete": self.complete,
         }
 
 
@@ -247,36 +249,15 @@ def axis_distances(xs, unchecked=False):
 
 def _subgroup_closure(generators, L, cap):
     """Elements reachable by words of length <= L over the generators and
-    their inverses; returns (elements, closed, capped)."""
-    family = generators[0].family
-    gens = []
-    seen_gen = set()
+    their inverses, in BFS order; returns (elements, closed, capped).
+    With the cap hit, the elements stop at the first one beyond cap."""
+    gens, seen = [], set()
     for g in list(generators) + [g.inverse() for g in generators]:
-        if g.key() not in seen_gen:
-            seen_gen.add(g.key())
+        if g.key() not in seen:
+            seen.add(g.key())
             gens.append(g)
-    start = identity_point(family)
-    elems = {start.key(): start}
-    frontier = [start]
-    capped = False
-    for _ in range(L):
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = x * s
-                if y.key() not in elems:
-                    elems[y.key()] = y
-                    nxt.append(y)
-                    if len(elems) > cap:
-                        capped = True
-                        break
-            if capped:
-                break
-        frontier = nxt
-        if capped or not frontier:
-            break
-    closed = not frontier and not capped
-    return list(elems.values()), closed, capped
+    sweep = breadth_first(gens, L, cap=cap)
+    return sweep.points, sweep.closed, sweep.capped
 
 
 def action_type(generators, L=8, delta=None, cap=20000, unchecked=False):
@@ -309,6 +290,7 @@ def action_type(generators, L=8, delta=None, cap=20000, unchecked=False):
                 exact=False,
                 witnesses={"axis_radius": float(radius), "max_axis_distance": worst},
                 low_confidence=capped,
+                complete=not capped,
             )
         return ActionVerdict(
             FOCAL,
@@ -320,6 +302,7 @@ def action_type(generators, L=8, delta=None, cap=20000, unchecked=False):
                 "escape_distance": worst,
             },
             low_confidence=capped,
+            complete=not capped,
         )
 
     # Everything in the kernel of the exponent: bounded or horocyclic.
@@ -343,6 +326,7 @@ def action_type(generators, L=8, delta=None, cap=20000, unchecked=False):
         exact=False,
         witnesses={"elements_seen": len(elems), "orbit_diameter": diameter},
         low_confidence=capped,
+        complete=not capped,
     )
 
 
@@ -373,28 +357,29 @@ class SchottkyReport:
 def schottky_semigroup_check(a, b, L=10, unchecked=False):
     """Evaluate every positive word in {a, b} of length <= L; report
     injectivity of the evaluation and the tightest embedding constants
-    between word length and d(1, value)."""
+    between word length and d(1, value).  Each level is one Products call
+    and one identity-row pairwise_word_lengths call."""
     if L > 14:
         raise ValueError("more than 2^14 words requested")
+    law = Products([a, b], L)
+    one = identity_point(a.family)
+    enc, ms = law.encode([one])
+    labels = [""]
     seen = {}
     samples = set()
     collision = None
-    frontier = [(identity_point(a.family), "")]
     count = 0
-    for _ in range(L):
-        nxt = []
-        for x, w in frontier:
-            for g, tag in ((a, "a"), (b, "b")):
-                y, wy = x * g, w + tag
-                count += 1
-                key = y.key()
-                if key in seen and collision is None:
-                    collision = (seen[key], wy)
-                if key not in seen:
-                    seen[key] = wy
-                samples.add((len(wy), word_length(y, unchecked=unchecked)))
-                nxt.append((y, wy))
-        frontier = nxt
+    for level in range(1, L + 1):
+        enc, ms = law.times(enc, ms)
+        labels = [w + tag for w in labels for tag in "ab"]
+        for key, w in zip(law.keys(enc, ms), labels):
+            if key not in seen:
+                seen[key] = w
+            elif collision is None:
+                collision = (seen[key], w)
+        lengths = pairwise_word_lengths([one], law.decode(enc, ms), unchecked=unchecked)[0]
+        samples.update((level, v) for v in set(lengths.tolist()))
+        count += len(labels)
     injective = collision is None
     report = qi_embedding_check(sorted(samples))
     report.injective = report.injective and injective

@@ -82,9 +82,19 @@ class GroupFamily:
         is col_hs[j], and g_ij = alpha^-m_i(h_i^-1 h_j).  Returns
         (settle, lengths): settle[i, j] is the least k with
         a_length(alpha^k g_ij) <= 1, -ARRAY_INF when g_ij is the identity
-        and ARRAY_INF when no k exists; lengths(k) is a new array of
-        a_length(alpha^k g_ij), with ARRAY_INF for INF.  The encoding is
+        and ARRAY_INF when no k exists; lengths(k) takes an int64 array k of
+        the grid's shape, k_ij >= 0, and returns a new array of
+        a_length(alpha^k_ij g_ij), with ARRAY_INF for INF.  The encoding is
         built from the elements given, not from a window.
+        """
+        raise NotImplementedError
+
+    def basis(self, hs, factors, shift):
+        """Array encoding for the batched group law (see LamplighterBasis).
+
+        The basis encodes every element of hs and every product of at most
+        `factors` elements of hs, each twisted by alpha^k with |k| <= shift,
+        exactly; its twisted_products takes the shifts m_x of the rows.
         """
         raise NotImplementedError
 
@@ -155,6 +165,140 @@ class GroupFamily:
 def _check_levels(levels):
     if levels < 0:
         raise FamilyError(f"window levels = {levels} < 0")
+
+
+# ---------------------------------------------------------------------------
+# Array encodings: the batched group law
+# ---------------------------------------------------------------------------
+
+
+class LamplighterBasis:
+    """Lamp configurations as rows of digit columns over positions lo..hi.
+
+    The batched group law of every basis: encode and decode lists of
+    H-elements, take rows, hashable row keys (equal exactly when the
+    elements are), a window mask, and twisted_products(X, ms, S), whose
+    row r * len(S) + c encodes h_r . alpha^ms[r](s_c).  With twisted
+    False, alpha is the identity and ms is ignored.
+    """
+
+    def __init__(self, q, lo, hi, twisted=True):
+        self.q, self.lo, self.hi, self.twisted = q, lo, hi, twisted
+        self.width = hi - lo + 1
+
+    def encode(self, hs):
+        out = np.zeros((len(hs), self.width), dtype=np.int64)
+        for r, h in enumerate(hs):
+            for pos, val in h:
+                if not self.lo <= pos <= self.hi:
+                    raise FamilyError(f"lamp position {pos} outside the basis [{self.lo}, {self.hi}]")
+                out[r, pos - self.lo] = val
+        return out
+
+    def decode(self, enc):
+        rows, cols = np.nonzero(enc)
+        lamps = list(zip((cols + self.lo).tolist(), enc[rows, cols].tolist()))
+        ends = np.searchsorted(rows, np.arange(len(enc) + 1)).tolist()
+        return [tuple(lamps[a:b]) for a, b in zip(ends, ends[1:])]
+
+    def take(self, enc, rows):
+        return enc[rows]
+
+    def row_keys(self, enc):
+        return np.ascontiguousarray(enc).view(np.dtype((np.void, 8 * self.width))).ravel().tolist()
+
+    def in_window(self, enc, window):
+        positions = np.arange(self.lo, self.hi + 1)
+        outside = (positions < window.lo) | (positions > window.hi)
+        return ~enc[:, outside].any(axis=1)
+
+    def twisted_products(self, X, ms, S):
+        shift = ms if self.twisted else np.zeros_like(ms)
+        occupied = np.flatnonzero(S.any(axis=0))
+        if occupied.size and len(shift) and (occupied[0] + shift.min() < 0 or occupied[-1] + shift.max() >= self.width):
+            raise FamilyError("twisted lamps leave the basis")
+        # Position lo + c of alpha^m(s) holds the digit of s at column c - m;
+        # column `width` of the padded S is zero.
+        cols = np.arange(self.width)[None, :] - shift[:, None]
+        cols[(cols < 0) | (cols >= self.width)] = self.width
+        padded = np.concatenate([S, np.zeros((len(S), 1), dtype=np.int64)], axis=1)
+        out = X[:, None, :] + padded[:, cols].transpose(1, 0, 2)
+        out %= self.q
+        return out.reshape(-1, self.width)
+
+
+class NadicBasis:
+    """Elements of Z[1/n] as numerators over the common denominator n^dpow,
+    in int64 when the caller's Python-int bound allows it, else in Python
+    ints (object dtype) with the same code.  The rows of S given to
+    twisted_products must be divisible by n^max(ms), as every element
+    of the hs the basis was built from is."""
+
+    def __init__(self, n, dpow, shift, dtype):
+        self.n, self.dpow, self.dtype = n, dpow, dtype
+        self.scale = n**dpow
+        self.powers = np.array([n**s for s in range(shift + 1)], dtype=dtype)
+
+    def encode(self, hs):
+        out = []
+        for h in hs:
+            if self.scale % h.denominator:
+                raise FamilyError(f"denominator of {h} does not divide {self.n}^{self.dpow}")
+            out.append(h.numerator * (self.scale // h.denominator))
+        return np.array(out, dtype=self.dtype)
+
+    def decode(self, enc):
+        return [Fraction(v, self.scale) for v in enc.tolist()]
+
+    def take(self, enc, rows):
+        return enc[rows]
+
+    def row_keys(self, enc):
+        return enc.tolist()
+
+    def in_window(self, enc, window):
+        inside = np.abs(enc) <= window.xmax * self.scale
+        if self.dpow > window.dpow:
+            inside &= enc % self.n ** (self.dpow - window.dpow) == 0
+        return inside
+
+    def twisted_products(self, X, ms, S):
+        # alpha^m(s) = s / n^m: multiply by n^-m, or divide exactly by n^m.
+        if len(ms) and max(-int(ms.min()), int(ms.max())) >= len(self.powers):
+            raise FamilyError("twist outside the basis")
+        if len(ms) and (S % self.powers[max(0, int(ms.max()))] != 0).any():
+            raise FamilyError("generator numerators not divisible by the twist")
+        up = self.powers[np.maximum(-ms, 0)][:, None]
+        down = self.powers[np.maximum(ms, 0)][:, None]
+        out = S[None, :] * up
+        out //= down
+        out += X[:, None]
+        return out.ravel()
+
+
+class ProductBasis:
+    """The two factor encodings side by side, as a pair of arrays."""
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+
+    def encode(self, hs):
+        return (self.left.encode([h[0] for h in hs]), self.right.encode([h[1] for h in hs]))
+
+    def decode(self, enc):
+        return list(zip(self.left.decode(enc[0]), self.right.decode(enc[1])))
+
+    def take(self, enc, rows):
+        return (self.left.take(enc[0], rows), self.right.take(enc[1], rows))
+
+    def row_keys(self, enc):
+        return list(zip(self.left.row_keys(enc[0]), self.right.row_keys(enc[1])))
+
+    def in_window(self, enc, window):
+        return self.left.in_window(enc[0], window.left) & self.right.in_window(enc[1], window.right)
+
+    def twisted_products(self, X, ms, S):
+        return (self.left.twisted_products(X[0], ms, S[0]), self.right.twisted_products(X[1], ms, S[1]))
 
 
 @dataclass(frozen=True)
@@ -241,6 +385,10 @@ class LamplighterFamily(GroupFamily):
         nonempty = floor != ARRAY_INF
         settle = self._lamp_settle(floor, row_ms)
         return settle, lambda k: np.where(k >= settle, nonempty, ARRAY_INF)
+
+    def basis(self, hs, factors, shift):
+        positions = [pos for h in hs for pos, _ in h] or [0]
+        return LamplighterBasis(self.q, min(positions) - shift, max(positions) + shift)
 
     def _lamp_settle(self, floor, row_ms):
         # The least lamp position of alpha^k g_ij is floor_ij - m_i + k.
@@ -357,6 +505,11 @@ class SpoofIdentityFamily(LamplighterFamily):
     def alpha_pow(self, h, k):
         return h
 
+    def basis(self, hs, factors, shift):
+        # alpha = id: twists move no lamp.
+        positions = [pos for h in hs for pos, _ in h] or [0]
+        return LamplighterBasis(self.q, min(positions), max(positions), twisted=False)
+
     def _lamp_settle(self, floor, row_ms):
         # alpha = id: a_length(alpha^k g_ij) = a_length(h_i^-1 h_j) for
         # every k, with no shift by m_i; outside A it is INF for ever.
@@ -457,7 +610,7 @@ class NadicFamily(GroupFamily):
         # With numerators N over a common n^dpow and a_ij = |N_j - N_i|,
         # a_length(alpha^k g_ij) = ceil(a_ij / n^(dpow + k - m_i)).
         n = self.n
-        dpow = max(self._den_pow(h) for h in itertools.chain(row_hs, col_hs))
+        dpow = self._den_pow(math.lcm(*{h.denominator for h in itertools.chain(row_hs, col_hs)}))
         scale = n**dpow
         rows = [h.numerator * (scale // h.denominator) for h in row_hs]
         cols = [h.numerator * (scale // h.denominator) for h in col_hs]
@@ -469,24 +622,36 @@ class NadicFamily(GroupFamily):
             top += 1
         # Python-int bound on every intermediate; object dtype runs the
         # same code exactly when int64 could overflow.
+        # The exponents of lengths(k) for k >= 0 lie in [-up_max, top]; one
+        # power table n^s, s <= max(top, up_max), serves both signs.
         up_max = max(0, int(row_ms.max()) - dpow)
-        dtype = np.int64 if max(n**top, amax * n**up_max) < ARRAY_INF else object
+        powers_max = max(top, up_max)
+        dtype = np.int64 if max(n**powers_max, amax * n**up_max) < ARRAY_INF else object
+        powers = np.array([n**s for s in range(powers_max + 1)], dtype=dtype)
         a = np.abs(np.array(cols, dtype=dtype)[None, :] - np.array(rows, dtype=dtype)[:, None])
         least = np.zeros(a.shape, dtype=np.int64)  # least t with n^t >= a
         for s in range(top):
-            least += a > n**s
+            least += a > powers[s]
         settle = np.where(a == 0, -ARRAY_INF, least + row_ms[:, None] - dpow)
 
         def lengths(k):
-            e = np.minimum(dpow + k - row_ms, top)
-            up = np.array([n ** int(x) for x in np.maximum(-e, 0)], dtype=dtype)[:, None]
-            down = np.array([n ** int(x) for x in np.maximum(e, 0)], dtype=dtype)[:, None]
-            out = a * up
+            e = np.minimum(dpow + k - row_ms[:, None], top)
+            down = powers[np.maximum(e, 0)]
+            out = a * powers[np.maximum(-e, 0)]
             out += down - 1
             out //= down
             return out
 
         return settle, lengths
+
+    def basis(self, hs, factors, shift):
+        # Twists alpha^k with k <= shift need n^shift more in the denominator;
+        # a product of `factors` twisted elements is a sum of as many terms,
+        # each at most max|h| * n^shift.
+        dpow = self._den_pow(math.lcm(*{h.denominator for h in hs})) + shift
+        bound = factors * max((abs(h) for h in hs), default=0) * self.n ** (shift + dpow)
+        dtype = np.int64 if max(bound, self.n**shift) < ARRAY_INF else object
+        return NadicBasis(self.n, dpow, shift, dtype)
 
     def element_order(self, h):
         return 1 if h == 0 else None
@@ -512,15 +677,16 @@ class NadicFamily(GroupFamily):
     def canonical_bytes(self, h):
         return f"N:{h.numerator}/{h.denominator}".encode()
 
-    def _den_pow(self, h):
-        """Least k with the denominator of h dividing n^k."""
+    def _den_pow(self, den):
+        """Least k with den dividing n^k; the least k for a set of
+        denominators is that of their lcm."""
         k = 0
-        while self.n**k % h.denominator:
+        while self.n**k % den:
             k += 1
         return k
 
     def h_to_json(self, h):
-        k = self._den_pow(h)
+        k = self._den_pow(h.denominator)
         return {"num": str(h.numerator * self.n**k // h.denominator), "den_pow": k}
 
     def h_from_json(self, obj):
@@ -616,6 +782,12 @@ class ProductFamily(GroupFamily):
         s1, l1 = self.left.pair_a_lengths([h[0] for h in row_hs], row_ms, [h[0] for h in col_hs])
         s2, l2 = self.right.pair_a_lengths([h[1] for h in row_hs], row_ms, [h[1] for h in col_hs])
         return np.maximum(s1, s2), lambda k: np.maximum(l1(k), l2(k))
+
+    def basis(self, hs, factors, shift):
+        return ProductBasis(
+            self.left.basis([h[0] for h in hs], factors, shift),
+            self.right.basis([h[1] for h in hs], factors, shift),
+        )
 
     def a_factorize(self, h):
         f1 = self.left.a_factorize(h[0])

@@ -271,16 +271,17 @@ def _block_word_lengths(family, row_hs, row_ms, col_hs, col_ms):
     settle, lengths = family.pair_a_lengths(row_hs, row_ms, col_hs)
     if (settle == ARRAY_INF).any():
         raise WordError("word_length failed to terminate; broken family?")
+    # Pair ij scans its own exponents k = start_ij + j, j = 0..span_ij.
+    # Steps past a pair's stopping index cannot lower its minimum (2k + m
+    # alone exceeds the cost there), so the longest span sets the loop.
     start = np.maximum(0, -m)
-    stop = np.maximum(start, settle)
+    span = np.maximum(start, settle) - start
     best = None
-    for i in range(int(start.min()), int(stop.max()) + 1):
-        # Steps past a pair's stopping index cannot lower its minimum (2i + m
-        # alone exceeds the cost there), so only i < start is masked.
-        cost = lengths(i)
+    for j in range(int(span.max()) + 1):
+        k = start + j
+        cost = lengths(k)
         cost += m
-        cost += 2 * i
-        np.putmask(cost, start > i, ARRAY_INF)
+        cost += 2 * k
         best = cost if best is None else np.minimum(best, cost, out=best)
     return best
 
@@ -302,6 +303,98 @@ def distance(x, y, unchecked=False):
 # ---------------------------------------------------------------------------
 
 
+class Products:
+    """The batched group law for one list of generators.
+
+    Points are batches (enc, ms): rows of the family's array encoding on
+    a basis shared with the generators, and an int64 array of exponents.
+    times() multiplies every point by every generator in one call, with
+    row r * len(gens) + c holding x_r . s_c; the basis is wide enough for
+    every product of at most `factors` generators.  A point's key is its
+    encoded row plus m, so two points are equal exactly when their keys
+    are.
+    """
+
+    def __init__(self, gens, factors):
+        self.family = gens[0].family
+        if any(s.family != self.family for s in gens):
+            raise WordError("mixed families")
+        shift = max(0, factors - 1) * max(abs(s.m) for s in gens)
+        self.basis = self.family.basis([s.h for s in gens], factors, shift)
+        self.gens, self.gen_ms = self.encode(gens)
+
+    def encode(self, points):
+        return self.basis.encode([x.h for x in points]), np.array([x.m for x in points], dtype=np.int64)
+
+    def times(self, enc, ms):
+        return self.basis.twisted_products(enc, ms, self.gens), (ms[:, None] + self.gen_ms).ravel()
+
+    def take(self, enc, ms, rows):
+        return self.basis.take(enc, rows), ms[rows]
+
+    def keys(self, enc, ms):
+        return list(zip(self.basis.row_keys(enc), ms.tolist()))
+
+    def decode(self, enc, ms):
+        return [GroupPoint(self.family, h, m) for h, m in zip(self.basis.decode(enc), ms.tolist())]
+
+
+def _first_new(keys, seen):
+    """Positions of the keys not in `seen`, first occurrences only, in
+    order; adds those keys to `seen`."""
+    out = []
+    for r, key in enumerate(keys):
+        if key not in seen:
+            seen.add(key)
+            out.append(r)
+    return out
+
+
+@dataclass
+class Sweep:
+    points: list  # GroupPoints in BFS order, the identity first
+    depths: list  # the BFS level of each point
+    truncated: bool  # some product fell outside the window
+    capped: bool  # the cap stopped the sweep
+    closed: bool  # a level found nothing new before the cap or the last level
+
+
+def breadth_first(gens, levels, window=None, cap=None):
+    """Level-synchronous BFS from the identity over the generators.
+
+    Each level multiplies the whole frontier by every generator in one
+    Products call and keeps the new points in first-occurrence order (the
+    order of a point-by-point scan of frontier x generators).  With a
+    window, products outside it are dropped and the sweep is truncated;
+    with a cap, the sweep stops at the first point beyond cap points.
+    """
+    law = Products(gens, levels)
+    enc, ms = law.encode([identity_point(law.family)])
+    points, depths = law.decode(enc, ms), [0]
+    seen = set(law.keys(enc, ms))
+    truncated = capped = closed = False
+    for depth in range(1, levels + 1):
+        cand, cand_ms = law.times(enc, ms)
+        rows = np.arange(len(cand_ms))
+        if window is not None:
+            inside = (np.abs(cand_ms) <= window.levels) & law.basis.in_window(cand, window)
+            truncated = truncated or not inside.all()
+            rows = rows[inside]
+        cand, cand_ms = law.take(cand, cand_ms, rows)
+        new = _first_new(law.keys(cand, cand_ms), seen)
+        if cap is not None and len(points) + len(new) > cap:
+            new, capped = new[: cap + 1 - len(points)], True
+        enc, ms = law.take(cand, cand_ms, new)
+        points += law.decode(enc, ms)
+        depths += [depth] * len(new)
+        if capped:
+            break
+        if not new:
+            closed = True
+            break
+    return Sweep(points, depths, truncated, capped, closed)
+
+
 @dataclass
 class BfsResult:
     family: object
@@ -320,14 +413,12 @@ class BfsResult:
         """All-pairs distances within the windowed Cayley graph (upper
         bounds for d_S away from the trusted set)."""
         keys = sorted(self.points)
-        index = {k: i for i, k in enumerate(keys)}
-        adjacency = [[] for _ in keys]
-        for i, k in enumerate(keys):
-            x = self.points[k]
-            for s in self.generators:
-                j = index.get((x * s).key())
-                if j is not None:
-                    adjacency[i].append(j)
+        law = Products(self.generators, self.radius + 1)
+        enc, ms = law.encode([self.points[k] for k in keys])
+        index = dict(zip(law.keys(enc, ms), range(len(keys))))
+        step = len(self.generators)
+        found = [index.get(key) for key in law.keys(*law.times(enc, ms))]
+        adjacency = [[j for j in found[i * step : (i + 1) * step] if j is not None] for i in range(len(keys))]
         return graph_distance_matrix([k.decode() for k in keys], adjacency)
 
 
@@ -354,33 +445,11 @@ def bfs_oracle(family, window=None, radius=5):
                 by_key[family.canonical_bytes(g)] = GroupPoint(family, g, 0)
     gens = list(by_key.values()) + [alpha_point(family, 1), alpha_point(family, -1)]
 
-    start = identity_point(family)
-    dist = {start.key(): 0}
-    points = {start.key(): start}
-    frontier = [start]
-    truncated = False
-    for d in range(radius):
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = x * s
-                if not _in_window_point(y, window):
-                    truncated = True
-                    continue
-                k = y.key()
-                if k not in dist:
-                    dist[k] = d + 1
-                    points[k] = y
-                    nxt.append(y)
-        frontier = nxt
-        if not frontier:
-            break
-
-    trusted = set()
-    for k, x in points.items():
-        if _witness_in_window(x, window):
-            trusted.add(k)
-    return BfsResult(family, window, radius, points, dist, trusted, truncated, gens)
+    sweep = breadth_first(gens, radius, window=window)
+    points = {x.key(): x for x in sweep.points}
+    dist = dict(zip(points, sweep.depths))
+    trusted = {k for k, x in points.items() if _witness_in_window(x, window)}
+    return BfsResult(family, window, radius, points, dist, trusted, sweep.truncated, gens)
 
 
 def _witness_in_window(x, window):
@@ -504,11 +573,14 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
 
     Exhaustive via iterated set products while the closure stays small
     (the lamplighter case, where A.A = A); falls back to seeded random
-    products otherwise.
+    products otherwise.  Each level's lengths come from one identity-row
+    pairwise_word_lengths call.
     """
     if window is None:
         window = family.default_window(6)
     a_window = list(family.iter_A_window(window))
+    basis = family.basis(a_window, 2**m_max, 0)
+    one = identity_point(family)
     rng = random.Random(seed)
     violations = []
     checked = 0
@@ -516,19 +588,12 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
 
     # A contains the identity, so the set of <=2^m-fold products is the
     # set of exactly-2^m-fold products; square the set m times.
-    current, exhaustive = set(a_window), True
+    current, exhaustive = a_window, True
     for m in range(1, m_max + 1):
         bound = 2 * family.n0 * m + 1
         if exhaustive:
-            nxt = set()
-            for a in current:
-                for b in current:
-                    nxt.add(family.multiply(a, b))
-                    if len(nxt) > exhaustive_cap:
-                        break
-                if len(nxt) > exhaustive_cap:
-                    break
-            if len(nxt) > exhaustive_cap:
+            nxt = _square(basis, current, exhaustive_cap)
+            if nxt is None:
                 exhaustive = False
                 complete = False
             else:
@@ -542,9 +607,9 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
                 for _ in range(2**m):
                     h = family.multiply(h, rng.choice(a_window))
                 batch.append(h)
-        for h in batch:
-            checked += 1
-            wl = word_length(h_point(family, h), unchecked=True)
+        checked += len(batch)
+        lengths = pairwise_word_lengths([one], [h_point(family, h) for h in batch], unchecked=True)[0]
+        for h, wl in zip(batch, lengths.tolist()):
             if wl > bound:
                 violations.append({"m": m, "h": family.format_h(h), "length": wl, "bound": bound})
     return DistortionReport(
@@ -555,6 +620,22 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
         violations=violations[:10],
         complete=complete,
     )
+
+
+def _square(basis, hs, cap):
+    """The set {a.b : a, b in hs} in first-occurrence order, or None as
+    soon as it has more than cap elements.  Rows of a go in blocks of at
+    most PAIRS_PER_BLOCK products."""
+    enc = basis.encode(hs)
+    step = max(1, PAIRS_PER_BLOCK // len(hs))
+    seen, out = set(), []
+    for lo in range(0, len(hs), step):
+        rows = np.arange(lo, min(lo + step, len(hs)))
+        prods = basis.twisted_products(basis.take(enc, rows), np.zeros(len(rows), dtype=np.int64), enc)
+        out += basis.decode(basis.take(prods, _first_new(basis.row_keys(prods), seen)))
+        if len(seen) > cap:
+            return None
+    return out
 
 
 # ---------------------------------------------------------------------------

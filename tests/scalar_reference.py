@@ -1,0 +1,166 @@
+"""Point-by-point references for the batched group-law consumers.
+
+These are the scalar GroupPoint loops that breadth_first, the oracle's
+distance matrix, distortion_check's squaring and the Schottky check
+replaced; the tests pin the batched versions' outputs, element order
+included, against them.
+"""
+
+import random
+
+from focalgroups.metric import graph_distance_matrix, qi_embedding_check
+from focalgroups.words import DistortionReport, h_point, identity_point, word_length
+
+
+def subgroup_closure(generators, L, cap):
+    """(elements, closed, capped) of words of length <= L over the
+    generators and their inverses, multiplying one point at a time."""
+    family = generators[0].family
+    gens = []
+    seen_gen = set()
+    for g in list(generators) + [g.inverse() for g in generators]:
+        if g.key() not in seen_gen:
+            seen_gen.add(g.key())
+            gens.append(g)
+    start = identity_point(family)
+    elems = {start.key(): start}
+    frontier = [start]
+    capped = False
+    for _ in range(L):
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = x * s
+                if y.key() not in elems:
+                    elems[y.key()] = y
+                    nxt.append(y)
+                    if len(elems) > cap:
+                        capped = True
+                        break
+            if capped:
+                break
+        frontier = nxt
+        if capped or not frontier:
+            break
+    closed = not frontier and not capped
+    return list(elems.values()), closed, capped
+
+
+def oracle_sweep(gens, window, radius):
+    """(points, dist, truncated) of the windowed BFS from the identity."""
+    family = gens[0].family
+    start = identity_point(family)
+    dist = {start.key(): 0}
+    points = {start.key(): start}
+    frontier = [start]
+    truncated = False
+    for d in range(radius):
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = x * s
+                if not (abs(y.m) <= window.levels and family.in_window(y.h, window)):
+                    truncated = True
+                    continue
+                k = y.key()
+                if k not in dist:
+                    dist[k] = d + 1
+                    points[k] = y
+                    nxt.append(y)
+        frontier = nxt
+        if not frontier:
+            break
+    return points, dist, truncated
+
+
+def oracle_distance_matrix(res):
+    """BfsResult.distance_matrix with one scalar product per edge."""
+    keys = sorted(res.points)
+    index = {k: i for i, k in enumerate(keys)}
+    adjacency = [[] for _ in keys]
+    for i, k in enumerate(keys):
+        x = res.points[k]
+        for s in res.generators:
+            j = index.get((x * s).key())
+            if j is not None:
+                adjacency[i].append(j)
+    return graph_distance_matrix([k.decode() for k in keys], adjacency)
+
+
+def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaustive_cap=4096):
+    """words.distortion_check squaring a set of H-elements one product at
+    a time, with one scalar word_length per checked element."""
+    if window is None:
+        window = family.default_window(6)
+    a_window = list(family.iter_A_window(window))
+    rng = random.Random(seed)
+    violations = []
+    checked = 0
+    complete = True
+    current, exhaustive = set(a_window), True
+    for m in range(1, m_max + 1):
+        bound = 2 * family.n0 * m + 1
+        if exhaustive:
+            nxt = set()
+            for a in current:
+                for b in current:
+                    nxt.add(family.multiply(a, b))
+                    if len(nxt) > exhaustive_cap:
+                        break
+                if len(nxt) > exhaustive_cap:
+                    break
+            if len(nxt) > exhaustive_cap:
+                exhaustive = False
+                complete = False
+            else:
+                current = nxt
+        if exhaustive:
+            batch = current
+        else:
+            batch = []
+            for _ in range(samples):
+                h = family.identity()
+                for _ in range(2**m):
+                    h = family.multiply(h, rng.choice(a_window))
+                batch.append(h)
+        for h in batch:
+            checked += 1
+            wl = word_length(h_point(family, h), unchecked=True)
+            if wl > bound:
+                violations.append({"m": m, "h": family.format_h(h), "length": wl, "bound": bound})
+    return DistortionReport(
+        family=family.config(),
+        window=window.as_dict(),
+        m_max=m_max,
+        checked=checked,
+        violations=violations[:10],
+        complete=complete,
+    )
+
+
+def schottky(a, b, L, unchecked=False):
+    """(qi report dict, injective, words_checked, collision), one word at a time."""
+    seen = {}
+    samples = set()
+    collision = None
+    frontier = [(identity_point(a.family), "")]
+    count = 0
+    for _ in range(L):
+        nxt = []
+        for x, w in frontier:
+            for g, tag in ((a, "a"), (b, "b")):
+                y, wy = x * g, w + tag
+                count += 1
+                key = y.key()
+                if key in seen and collision is None:
+                    collision = (seen[key], wy)
+                if key not in seen:
+                    seen[key] = wy
+                samples.add((len(wy), word_length(y, unchecked=unchecked)))
+                nxt.append((y, wy))
+        frontier = nxt
+    injective = collision is None
+    report = qi_embedding_check(sorted(samples))
+    report.injective = report.injective and injective
+    return report.as_dict(), injective, count, collision
+

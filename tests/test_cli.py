@@ -163,6 +163,7 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "--family", "spoof-identity:2", "--unchecked", "a+", "g{0:1}")
         assert code == 0
         assert json.loads(out)["action"] == {
+            "complete": True,
             "exact": False,
             "horizon": 8,
             "low_confidence": False,
