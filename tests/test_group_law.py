@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scalar_reference as ref
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_words import H_STRATEGIES, lamp_configs
 
@@ -50,6 +50,10 @@ SPOOF = SpoofIdentityFamily(2)
 LAWS = dict(H_STRATEGIES)
 LAWS["spoof-identity:2"] = (SPOOF, lamp_configs(2))
 
+# Each property runs on 7 families (14 cases for the batched product), so
+# a smaller example budget than the profile's keeps the file near 5 s.
+FEW = settings(max_examples=20)
+
 
 def points(family, hs, max_m):
     return st.builds(GroupPoint, st.just(family), hs, st.integers(-max_m, max_m))
@@ -58,6 +62,7 @@ def points(family, hs, max_m):
 class TestBatchedProducts:
     @pytest.mark.parametrize("max_m", [7, 40], ids=["small-m", "large-m"])
     @pytest.mark.parametrize("spec", sorted(LAWS))
+    @FEW
     @given(data=st.data())
     def test_matches_scalar_law(self, spec, max_m, data):
         family, hs = LAWS[spec]
@@ -108,6 +113,7 @@ class TestBatchedProducts:
 
 class TestScalarGroupLaw:
     @pytest.mark.parametrize("spec", sorted(LAWS))
+    @FEW
     @given(data=st.data())
     def test_group_axioms(self, spec, data):
         family, hs = LAWS[spec]
@@ -118,6 +124,7 @@ class TestScalarGroupLaw:
         assert one * x == x == x * one
 
     @pytest.mark.parametrize("spec", sorted(LAWS))
+    @FEW
     @given(data=st.data())
     def test_alpha_is_an_automorphism(self, spec, data):
         f, hs = LAWS[spec]
@@ -161,6 +168,7 @@ class TestClosure:
         same_closure(_subgroup_closure(gens, L, cap), ref.subgroup_closure(gens, L, cap))
 
     @pytest.mark.parametrize("spec", sorted(LAWS))
+    @FEW
     @given(data=st.data())
     def test_random_generators(self, spec, data):
         family, hs = LAWS[spec]
