@@ -179,15 +179,17 @@ class LamplighterBasis:
     H-elements, take rows, hashable row keys (equal exactly when the
     elements are), a window mask, and twisted_products(X, ms, S), whose
     row r * len(S) + c encodes h_r . alpha^ms[r](s_c).  With twisted
-    False, alpha is the identity and ms is ignored.
+    False, alpha is the identity and ms is ignored.  Digits are uint8
+    while a sum of two stays below 256, so a row costs a byte a position.
     """
 
     def __init__(self, q, lo, hi, twisted=True):
         self.q, self.lo, self.hi, self.twisted = q, lo, hi, twisted
         self.width = hi - lo + 1
+        self.dtype = np.dtype(np.uint8 if q <= 128 else np.int64)
 
     def encode(self, hs):
-        out = np.zeros((len(hs), self.width), dtype=np.int64)
+        out = np.zeros((len(hs), self.width), dtype=self.dtype)
         for r, h in enumerate(hs):
             for pos, val in h:
                 if not self.lo <= pos <= self.hi:
@@ -205,7 +207,7 @@ class LamplighterBasis:
         return enc[rows]
 
     def row_keys(self, enc):
-        return np.ascontiguousarray(enc).view(np.dtype((np.void, 8 * self.width))).ravel().tolist()
+        return np.ascontiguousarray(enc).view(np.dtype((np.void, self.dtype.itemsize * self.width))).ravel().tolist()
 
     def in_window(self, enc, window):
         positions = np.arange(self.lo, self.hi + 1)
@@ -221,7 +223,7 @@ class LamplighterBasis:
         # column `width` of the padded S is zero.
         cols = np.arange(self.width)[None, :] - shift[:, None]
         cols[(cols < 0) | (cols >= self.width)] = self.width
-        padded = np.concatenate([S, np.zeros((len(S), 1), dtype=np.int64)], axis=1)
+        padded = np.concatenate([S, np.zeros((len(S), 1), dtype=self.dtype)], axis=1)
         out = X[:, None, :] + padded[:, cols].transpose(1, 0, 2)
         out %= self.q
         return out.reshape(-1, self.width)

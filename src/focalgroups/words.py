@@ -375,12 +375,10 @@ def breadth_first(gens, levels, window=None, cap=None):
     truncated = capped = closed = False
     for depth in range(1, levels + 1):
         cand, cand_ms = law.times(enc, ms)
-        rows = np.arange(len(cand_ms))
         if window is not None:
             inside = (np.abs(cand_ms) <= window.levels) & law.basis.in_window(cand, window)
             truncated = truncated or not inside.all()
-            rows = rows[inside]
-        cand, cand_ms = law.take(cand, cand_ms, rows)
+            cand, cand_ms = law.take(cand, cand_ms, np.flatnonzero(inside))
         new = _first_new(law.keys(cand, cand_ms), seen)
         if cap is not None and len(points) + len(new) > cap:
             new, capped = new[: cap + 1 - len(points)], True

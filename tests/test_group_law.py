@@ -46,6 +46,7 @@ N3 = NadicFamily(3)
 N10 = NadicFamily(10)
 PROD = ProductFamily(L2, N2)
 SPOOF = SpoofIdentityFamily(2)
+L200 = LamplighterFamily(200)
 
 LAWS = dict(H_STRATEGIES)
 LAWS["spoof-identity:2"] = (SPOOF, lamp_configs(2))
@@ -150,6 +151,8 @@ CLOSURES = {
     "nadic10": ([alpha_point(N10, 2), h_point(N10, Fraction(1, 10))], 5),
     "product": ([alpha_point(PROD, 1), h_point(PROD, (L2.lamp(0), Fraction(1)))], 5),
     "spoof": ([alpha_point(SPOOF, 1), h_point(SPOOF, SPOOF.lamp(0))], 8),
+    # q > 128: digit sums leave uint8, so the basis holds int64 digits.
+    "lamplighter200": ([alpha_point(L200, 1), h_point(L200, L200.lamp(0, 150))], 5),
 }
 
 
