@@ -229,13 +229,14 @@ class TestDistortion:
     def test_matches_scalar_loop(self, name):
         family, kwargs = DISTORTIONS[name]
         got, want = distortion_check(family, **kwargs).as_dict(), ref.distortion_check(family, **kwargs).as_dict()
-        key = lambda v: (v["m"], v["h"])  # noqa: E731
-        got["violations"].sort(key=key)
-        want["violations"].sort(key=key)
+        # The scalar loop listed violations in set order.
+        for report in (got, want):
+            report["violations"].sort(key=lambda v: (v["m"], v["h"]))
         assert got == want
 
     def test_nadic_default_counts(self):
-        # 33 + 65 + 129 + 257 elements: A and its squares on the 1/16 grid.
+        # 65 + 129 + 257 elements: A^2, A^4 and A^8 for the 33 elements of A
+        # on the 1/16 grid.
         report = distortion_check(N2)
         assert report.checked == 451 and report.complete
 
