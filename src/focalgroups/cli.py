@@ -8,6 +8,7 @@ claims, and output is deterministic given (config, seed).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -340,7 +341,9 @@ OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once and shared by every main() call."""
     parser = _Parser(prog="focalgroups", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

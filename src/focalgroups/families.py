@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 INF = float("inf")
-# int64 stand-in for INF in the array hooks, far above any radius or length.
+# int64 stand-in for INF in the array kernels, far above any radius or length.
 ARRAY_INF = 1 << 62
 
 
@@ -75,22 +75,9 @@ class GroupFamily:
         """A witness list of a_length(h) elements of A with product h."""
         raise NotImplementedError
 
-    def pair_a_lengths(self, row_hs, row_ms, col_hs):
-        """a_length on a grid of pair quotients, as integer arrays.
-
-        Row i is (row_hs[i], row_ms[i]) with row_ms an int64 array, column j
-        is col_hs[j], and g_ij = alpha^-m_i(h_i^-1 h_j).  Returns
-        (settle, lengths): settle[i, j] is the least k with
-        a_length(alpha^k g_ij) <= 1, -ARRAY_INF when g_ij is the identity
-        and ARRAY_INF when no k exists; lengths(k) takes an int64 array k of
-        the grid's shape, k_ij >= 0, and returns a new array of
-        a_length(alpha^k_ij g_ij), with ARRAY_INF for INF.  The encoding is
-        built from the elements given, not from a window.
-        """
-        raise NotImplementedError
-
     def basis(self, hs, factors, shift):
-        """Array encoding for the batched group law (see LamplighterBasis).
+        """Array encoding for the batched group law and the pair word-length
+        kernel (see LamplighterBasis).
 
         The basis encodes every element of hs and every product of at most
         `factors` elements of hs, each twisted by alpha^k with |k| <= shift,
@@ -167,8 +154,23 @@ def _check_levels(levels):
         raise FamilyError(f"window levels = {levels} < 0")
 
 
+def json_field(obj, key, kind, default=None):
+    """obj[key] of an element's JSON payload as a `kind` (int takes JSON
+    integers and decimal strings), or default when the key is absent and a
+    default is given; FamilyError otherwise."""
+    value = obj.get(key, default) if isinstance(obj, dict) else None
+    try:
+        if kind is int and isinstance(value, (int, str)) and not isinstance(value, bool):
+            return int(value)
+        if kind is dict and isinstance(value, dict):
+            return value
+    except ValueError:
+        pass
+    raise FamilyError(f"element payload {obj!r} needs {key!r} as {kind.__name__}")
+
+
 # ---------------------------------------------------------------------------
-# Array encodings: the batched group law
+# Array encodings: the batched group law and pair word lengths
 # ---------------------------------------------------------------------------
 
 
@@ -181,6 +183,16 @@ class LamplighterBasis:
     row r * len(S) + c encodes h_r . alpha^ms[r](s_c).  With twisted
     False, alpha is the identity and ms is ignored.  Digits are uint8
     while a sum of two stays below 256, so a row costs a byte a position.
+
+    Every basis also runs the pair word-length kernel: pair_a_lengths(R,
+    row_ms, C) gives a_length on the grid of pair quotients g_ij =
+    alpha^-m_i(h_i^-1 h_j), with row i the encoded h_i (row_ms an int64
+    array) and column j the encoded h_j.  It returns (settle, lengths):
+    settle[i, j] is the least k with a_length(alpha^k g_ij) <= 1,
+    -ARRAY_INF when g_ij is the identity and ARRAY_INF when no k exists;
+    lengths(k) takes an int64 array k of the grid's shape, k_ij >= 0, and
+    returns a new array of a_length(alpha^k_ij g_ij), with ARRAY_INF for
+    INF.
     """
 
     def __init__(self, q, lo, hi, twisted=True):
@@ -227,6 +239,23 @@ class LamplighterBasis:
         out = X[:, None, :] + padded[:, cols].transpose(1, 0, 2)
         out %= self.q
         return out.reshape(-1, self.width)
+
+    def pair_a_lengths(self, R, row_ms, C):
+        # The lamps of h_i^-1 h_j sit where the digits of h_i and h_j differ;
+        # floor_ij is the least such position (ARRAY_INF where h_i = h_j), found
+        # one position at a time, highest first: no rows x cols x positions array.
+        floor = np.full((len(R), len(C)), ARRAY_INF, dtype=np.int64)
+        for c in range(self.width - 1, -1, -1):
+            np.putmask(floor, R[:, c, None] != C[None, :, c], self.lo + c)
+        nonempty = floor != ARRAY_INF
+        # a_length(alpha^k g_ij) is 0 for the identity, else 1 or INF as the
+        # least lamp position floor_ij - m_i + k is >= 0 or not.  With alpha
+        # = id there is no shift by m_i, and outside A it is INF for ever.
+        if self.twisted:
+            settle = np.where(nonempty, row_ms[:, None] - floor, -ARRAY_INF)
+        else:
+            settle = np.where(floor >= 0, -ARRAY_INF, ARRAY_INF)
+        return settle, lambda k: np.where(k >= settle, nonempty, ARRAY_INF)
 
 
 class NadicBasis:
@@ -277,6 +306,41 @@ class NadicBasis:
         out += X[:, None]
         return out.ravel()
 
+    def pair_a_lengths(self, R, row_ms, C):
+        # With a_ij = |N_j - N_i| (below 2^63 in an int64 basis),
+        # a_length(alpha^k g_ij) = ceil(a_ij / n^(dpow + k - m_i)).
+        n, dpow = self.n, self.dpow
+        a = np.abs(C[None, :] - R[:, None])
+        amax = int(a.max())
+        # top: least t >= 0 with n^t >= amax.  ceil(a / n^e) is the same for
+        # every e >= top when 0 <= a <= amax, so exponents are clamped there.
+        top = 0
+        while n**top < amax:
+            top += 1
+        # Python-int bound on every intermediate; object dtype runs the
+        # same code exactly when int64 could overflow.
+        # The exponents of lengths(k) for k >= 0 lie in [-up_max, top]; one
+        # power table n^s, s <= max(top, up_max), serves both signs.
+        up_max = max(0, int(row_ms.max()) - dpow)
+        powers_max = max(top, up_max)
+        dtype = np.int64 if max(n**powers_max, amax * n**up_max) < ARRAY_INF else object
+        powers = np.array([n**s for s in range(powers_max + 1)], dtype=dtype)
+        a = a.astype(dtype)
+        least = np.zeros(a.shape, dtype=np.int64)  # least t with n^t >= a
+        for s in range(top):
+            least += a > powers[s]
+        settle = np.where(a == 0, -ARRAY_INF, least + row_ms[:, None] - dpow)
+
+        def lengths(k):
+            e = np.minimum(dpow + k - row_ms[:, None], top)
+            down = powers[np.maximum(e, 0)]
+            out = a * powers[np.maximum(-e, 0)]
+            out += down - 1
+            out //= down
+            return out
+
+        return settle, lengths
+
 
 class ProductBasis:
     """The two factor encodings side by side, as a pair of arrays."""
@@ -301,6 +365,13 @@ class ProductBasis:
 
     def twisted_products(self, X, ms, S):
         return (self.left.twisted_products(X[0], ms, S[0]), self.right.twisted_products(X[1], ms, S[1]))
+
+    def pair_a_lengths(self, R, row_ms, C):
+        # a_length is the max of the component lengths, so it is <= 1 from
+        # the later of the two components' settling indices on.
+        s1, l1 = self.left.pair_a_lengths(R[0], row_ms, C[0])
+        s2, l2 = self.right.pair_a_lengths(R[1], row_ms, C[1])
+        return np.maximum(s1, s2), lambda k: np.maximum(l1(k), l2(k))
 
 
 @dataclass(frozen=True)
@@ -380,43 +451,9 @@ class LamplighterFamily(GroupFamily):
             raise FamilyError("element outside every power of A")
         return [h]
 
-    def pair_a_lengths(self, row_hs, row_ms, col_hs):
-        # a_length(alpha^k g) is 0 for g = identity, else 1 or INF as the
-        # least lamp position of alpha^k g is >= 0 or not.
-        floor = self._support_floor(row_hs, col_hs)
-        nonempty = floor != ARRAY_INF
-        settle = self._lamp_settle(floor, row_ms)
-        return settle, lambda k: np.where(k >= settle, nonempty, ARRAY_INF)
-
     def basis(self, hs, factors, shift):
         positions = [pos for h in hs for pos, _ in h] or [0]
         return LamplighterBasis(self.q, min(positions) - shift, max(positions) + shift)
-
-    def _lamp_settle(self, floor, row_ms):
-        # The least lamp position of alpha^k g_ij is floor_ij - m_i + k.
-        return np.where(floor == ARRAY_INF, -ARRAY_INF, row_ms[:, None] - floor)
-
-    def _support_floor(self, row_hs, col_hs):
-        """Least lamp position of h_i^-1 h_j, ARRAY_INF where h_i = h_j.
-
-        The lamps of h_i^-1 h_j are the positions where the digits of h_i
-        and h_j differ; one pass per position, highest first, so no
-        rows x cols x positions array is built."""
-        positions = sorted({pos for h in itertools.chain(row_hs, col_hs) for pos, _ in h}, reverse=True)
-        column = {pos: c for c, pos in enumerate(positions)}
-
-        def digits(hs):
-            out = np.zeros((len(hs), len(positions)), dtype=np.int64)
-            for r, h in enumerate(hs):
-                for pos, val in h:
-                    out[r, column[pos]] = val
-            return out
-
-        rows, cols = digits(row_hs), digits(col_hs)
-        floor = np.full((len(row_hs), len(col_hs)), ARRAY_INF, dtype=np.int64)
-        for c, pos in enumerate(positions):
-            np.putmask(floor, rows[:, c, None] != cols[None, :, c], pos)
-        return floor
 
     def element_order(self, h):
         return math.lcm(*(self.q // math.gcd(val, self.q) for _, val in h)) if h else 1
@@ -433,10 +470,10 @@ class LamplighterFamily(GroupFamily):
         return {"lamps": {str(pos): val for pos, val in h}}
 
     def h_from_json(self, obj):
-        lamps = obj.get("lamps", {})
+        lamps = json_field(obj, "lamps", dict, {})
         out = {}
-        for pos, val in lamps.items():
-            val = int(val) % self.q
+        for pos in lamps:
+            val = json_field(lamps, pos, int) % self.q
             if val:
                 out[int(pos)] = val
         return tuple(sorted(out.items()))
@@ -511,11 +548,6 @@ class SpoofIdentityFamily(LamplighterFamily):
         # alpha = id: twists move no lamp.
         positions = [pos for h in hs for pos, _ in h] or [0]
         return LamplighterBasis(self.q, min(positions), max(positions), twisted=False)
-
-    def _lamp_settle(self, floor, row_ms):
-        # alpha = id: a_length(alpha^k g_ij) = a_length(h_i^-1 h_j) for
-        # every k, with no shift by m_i; outside A it is INF for ever.
-        return np.where(floor >= 0, -ARRAY_INF, ARRAY_INF)
 
     def compaction_index(self):
         return 1  # alpha(A) = A
@@ -608,52 +640,16 @@ class NadicFamily(GroupFamily):
         parts.append(h - sign * (k - 1))
         return parts
 
-    def pair_a_lengths(self, row_hs, row_ms, col_hs):
-        # With numerators N over a common n^dpow and a_ij = |N_j - N_i|,
-        # a_length(alpha^k g_ij) = ceil(a_ij / n^(dpow + k - m_i)).
-        n = self.n
-        dpow = self._den_pow(math.lcm(*{h.denominator for h in itertools.chain(row_hs, col_hs)}))
-        scale = n**dpow
-        rows = [h.numerator * (scale // h.denominator) for h in row_hs]
-        cols = [h.numerator * (scale // h.denominator) for h in col_hs]
-        amax = 2 * max(abs(x) for x in itertools.chain(rows, cols))
-        # top: least t >= 0 with n^t >= amax.  ceil(a / n^e) is the same for
-        # every e >= top when 0 <= a <= amax, so exponents are clamped there.
-        top = 0
-        while n**top < amax:
-            top += 1
-        # Python-int bound on every intermediate; object dtype runs the
-        # same code exactly when int64 could overflow.
-        # The exponents of lengths(k) for k >= 0 lie in [-up_max, top]; one
-        # power table n^s, s <= max(top, up_max), serves both signs.
-        up_max = max(0, int(row_ms.max()) - dpow)
-        powers_max = max(top, up_max)
-        dtype = np.int64 if max(n**powers_max, amax * n**up_max) < ARRAY_INF else object
-        powers = np.array([n**s for s in range(powers_max + 1)], dtype=dtype)
-        a = np.abs(np.array(cols, dtype=dtype)[None, :] - np.array(rows, dtype=dtype)[:, None])
-        least = np.zeros(a.shape, dtype=np.int64)  # least t with n^t >= a
-        for s in range(top):
-            least += a > powers[s]
-        settle = np.where(a == 0, -ARRAY_INF, least + row_ms[:, None] - dpow)
-
-        def lengths(k):
-            e = np.minimum(dpow + k - row_ms[:, None], top)
-            down = powers[np.maximum(e, 0)]
-            out = a * powers[np.maximum(-e, 0)]
-            out += down - 1
-            out //= down
-            return out
-
-        return settle, lengths
-
     def basis(self, hs, factors, shift):
         # Twists alpha^k with k <= shift need n^shift more in the denominator;
         # a product of `factors` twisted elements is a sum of as many terms,
-        # each at most max|h| * n^shift.
-        dpow = self._den_pow(math.lcm(*{h.denominator for h in hs})) + shift
-        bound = factors * max((abs(h) for h in hs), default=0) * self.n ** (shift + dpow)
-        dtype = np.int64 if max(bound, self.n**shift) < ARRAY_INF else object
-        return NadicBasis(self.n, dpow, shift, dtype)
+        # each at most max|h| * n^shift: over n^(base + shift), a numerator of
+        # at most factors * max|N| * n^(2 shift), N the numerators over n^base.
+        base = self._den_pow(math.lcm(*{h.denominator for h in hs}))
+        scale = self.n**base
+        top = max((abs(h.numerator) * (scale // h.denominator) for h in hs), default=0)
+        dtype = np.int64 if max(factors * top * self.n ** (2 * shift), self.n**shift) < ARRAY_INF else object
+        return NadicBasis(self.n, base + shift, shift, dtype)
 
     def element_order(self, h):
         return 1 if h == 0 else None
@@ -692,7 +688,10 @@ class NadicFamily(GroupFamily):
         return {"num": str(h.numerator * self.n**k // h.denominator), "den_pow": k}
 
     def h_from_json(self, obj):
-        return self._check(Fraction(int(obj["num"]), self.n ** int(obj.get("den_pow", 0))))
+        num, den_pow = json_field(obj, "num", int), json_field(obj, "den_pow", int, 0)
+        if den_pow < 0:
+            raise FamilyError(f"den_pow = {den_pow} < 0")
+        return self._check(Fraction(num, self.n**den_pow))
 
     def format_h(self, h):
         return f"{{{h}}}"
@@ -778,13 +777,6 @@ class ProductFamily(GroupFamily):
     def a_length(self, h):
         return max(self.left.a_length(h[0]), self.right.a_length(h[1]))
 
-    def pair_a_lengths(self, row_hs, row_ms, col_hs):
-        # a_length is the max of the component lengths, so it is <= 1 from
-        # the later of the two components' settling indices on.
-        s1, l1 = self.left.pair_a_lengths([h[0] for h in row_hs], row_ms, [h[0] for h in col_hs])
-        s2, l2 = self.right.pair_a_lengths([h[1] for h in row_hs], row_ms, [h[1] for h in col_hs])
-        return np.maximum(s1, s2), lambda k: np.maximum(l1(k), l2(k))
-
     def basis(self, hs, factors, shift):
         return ProductBasis(
             self.left.basis([h[0] for h in hs], factors, shift),
@@ -817,7 +809,7 @@ class ProductFamily(GroupFamily):
         return {"left": self.left.h_to_json(h[0]), "right": self.right.h_to_json(h[1])}
 
     def h_from_json(self, obj):
-        return (self.left.h_from_json(obj["left"]), self.right.h_from_json(obj["right"]))
+        return (self.left.h_from_json(json_field(obj, "left", dict)), self.right.h_from_json(json_field(obj, "right", dict)))
 
     def format_h(self, h):
         return f"({self.left.format_h(h[0])}|{self.right.format_h(h[1])})"

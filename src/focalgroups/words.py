@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import ARRAY_INF, INF, FamilyError
+from .families import ARRAY_INF, INF, FamilyError, json_field
 from .metric import DistanceMatrix, graph_distance_matrix
 
 ALPHA = "a+"
@@ -93,7 +93,7 @@ def h_point(family, h):
 
 
 def point_from_json(family, obj):
-    return GroupPoint(family, family.h_from_json(obj), int(obj.get("m", 0)))
+    return GroupPoint(family, family.h_from_json(obj), json_field(obj, "m", int, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +245,9 @@ def pairwise_word_lengths(xs, ys, unchecked=False):
     g = alpha^-m_x(h_x^-1 h_y) and m = m_y - m_x, and the minimum over
     i >= max(0, -m) of 2i + m + a_length(alpha^i g) runs as array steps up
     to the same stopping index, the first such i with a_length <= 1 (the
-    family's pair_a_lengths hook gives it).  Rows go in blocks of nearby
-    m_x, which keeps each block's range of i short.
+    pair kernel of the family's basis gives it).  Both sides are encoded
+    once on one basis; rows go in blocks of nearby m_x, which keeps each
+    block's range of i short.
     """
     out = np.zeros((len(xs), len(ys)), dtype=np.int64)
     if not xs or not ys:
@@ -255,20 +256,21 @@ def pairwise_word_lengths(xs, ys, unchecked=False):
     if any(p.family != family for p in itertools.chain(xs, ys)):
         raise WordError("mixed families")
     _require_validated(family, unchecked)
+    basis = family.basis([p.h for p in itertools.chain(xs, ys)], 1, 0)
+    R, C = basis.encode([x.h for x in xs]), basis.encode([y.h for y in ys])
     row_ms = np.array([x.m for x in xs], dtype=np.int64)
     col_ms = np.array([y.m for y in ys], dtype=np.int64)
-    col_hs = [y.h for y in ys]
     order = np.argsort(row_ms, kind="stable")
     step = max(1, PAIRS_PER_BLOCK // len(ys))
     for lo in range(0, len(xs), step):
         rows = order[lo : lo + step]
-        out[rows] = _block_word_lengths(family, [xs[r].h for r in rows], row_ms[rows], col_hs, col_ms)
+        out[rows] = _block_word_lengths(basis, basis.take(R, rows), row_ms[rows], C, col_ms)
     return out
 
 
-def _block_word_lengths(family, row_hs, row_ms, col_hs, col_ms):
+def _block_word_lengths(basis, R, row_ms, C, col_ms):
     m = col_ms[None, :] - row_ms[:, None]
-    settle, lengths = family.pair_a_lengths(row_hs, row_ms, col_hs)
+    settle, lengths = basis.pair_a_lengths(R, row_ms, C)
     if (settle == ARRAY_INF).any():
         raise WordError("word_length failed to terminate; broken family?")
     # Pair ij scans its own exponents k = start_ij + j, j = 0..span_ij.

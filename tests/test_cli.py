@@ -307,6 +307,28 @@ class TestFlags:
         assert code == 1 and out == ""
         assert err.startswith("error: unrecognized arguments")
 
+    def test_shared_parser_keeps_no_state(self):
+        parse = build_parser().parse_args
+        assert build_parser() is build_parser()
+        assert parse(["report", "--radius", "2", "--seed", "5"]).radius == 2
+        assert (parse(["report"]).radius, parse(["report"]).seed) == (6, 0)
+        assert not hasattr(parse(["tree"]), "horizon")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dist", "--family", "nadic:2", '{"num":"5","den_pow":-1,"m":0}'],
+            ["dist", "--family", "nadic:2", '{"m":0}'],
+            ["dist", "--family", "lamplighter:2", '{"lamps":[1],"m":0}'],
+            ["dist", "--family", "product(lamplighter:2,nadic:2)", '{"left":{"lamps":{}},"m":0}'],
+        ],
+        ids=["nadic-negative-den-pow", "nadic-no-num", "lamplighter-lamps-list", "product-no-right"],
+    )
+    def test_malformed_element_json_is_config_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -292,7 +292,8 @@ class TestPairKernel:
     def test_lengths_take_an_exponent_per_pair(self, family):
         pts = sample_points(family, 12, max_len=6, seed=5)
         rows, cols = pts[:4], pts
-        _, lengths = family.pair_a_lengths([x.h for x in rows], np.array([x.m for x in rows]), [y.h for y in cols])
+        basis = family.basis([x.h for x in pts], 1, 0)
+        _, lengths = basis.pair_a_lengths(basis.encode([x.h for x in rows]), np.array([x.m for x in rows]), basis.encode([y.h for y in cols]))
         k = np.arange(len(rows) * len(cols), dtype=np.int64).reshape(len(rows), len(cols)) % 7
         got = lengths(k)
         for i, x in enumerate(rows):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focalgroups.families import (
@@ -275,9 +275,12 @@ H_STRATEGIES = {
 }
 
 
+def group_points(family, hs):
+    return st.builds(GroupPoint, st.just(family), hs, st.integers(-7, 7))
+
+
 def point_lists(family, hs):
-    points = st.builds(GroupPoint, st.just(family), hs, st.integers(-7, 7))
-    return st.lists(points, min_size=1, max_size=8)
+    return st.lists(group_points(family, hs), min_size=1, max_size=8)
 
 
 class TestPairwiseWordLengths:
@@ -291,12 +294,20 @@ class TestPairwiseWordLengths:
         assert got.dtype == np.int64
         assert np.array_equal(got, scalar_matrix(xs, ys))
 
-    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
-    def test_row_blocks_match_scalar(self, family, monkeypatch):
-        # Blocks of a few rows, taken in order of m, scattered back in place.
+    @pytest.mark.parametrize(
+        "family, window",
+        [pytest.param(f, None, id=f.name) for f in FAMILIES + [NadicFamily(10), SpoofIdentityFamily(2)]]
+        # q = 200 has int64 digits; A-letters on two positions keep the sampler small.
+        + [pytest.param(LamplighterFamily(200), LamplighterWindow(-1, 1, 7), id="lamplighter(q=200)")],
+    )
+    def test_row_blocks_match_scalar(self, family, window, monkeypatch):
+        # Blocks of a few rows, taken in order of m, scattered back in place,
+        # all against one encoding of the columns.
         monkeypatch.setattr(words, "PAIRS_PER_BLOCK", 100)
-        pts = sample_points(family, 60, max_len=7, seed=21)
-        assert np.array_equal(pairwise_word_lengths(pts, pts), scalar_matrix(pts, pts))
+        pts = sample_points(family, 60, max_len=7, seed=21, window=window)
+        unchecked = not family.a_length_validated
+        got = pairwise_word_lengths(pts, pts, unchecked=unchecked)
+        assert np.array_equal(got, scalar_matrix(pts, pts, unchecked=unchecked))
 
     def test_identity_row_is_word_length(self):
         pts = sample_points(N2, 40, max_len=7, seed=3)
@@ -313,7 +324,7 @@ class TestPairwiseWordLengths:
             pairwise_word_lengths([identity_point(L2)], [identity_point(N2)])
 
     def test_nadic_overflow_uses_python_ints(self):
-        # n^|m| times a numerator exceeds 2^63: the hook must switch to
+        # n^|m| times a numerator exceeds 2^63: the kernel must switch to
         # object dtype and still agree with the scalar path.
         n10 = NadicFamily(10)
         pts = [
@@ -324,7 +335,9 @@ class TestPairwiseWordLengths:
             GroupPoint(n10, Fraction(1, 10), 0),
             GroupPoint(n10, Fraction(0), -7),
         ]
-        _, lengths = n10.pair_a_lengths([x.h for x in pts], np.array([x.m for x in pts]), [x.h for x in pts])
+        basis = n10.basis([x.h for x in pts], 1, 0)
+        enc = basis.encode([x.h for x in pts])
+        _, lengths = basis.pair_a_lengths(enc, np.array([x.m for x in pts]), enc)
         assert lengths(0).dtype == object
         assert 10**19 * 98765 > 2**63
         assert np.array_equal(pairwise_word_lengths(pts, pts), scalar_matrix(pts, pts))
@@ -345,6 +358,57 @@ class TestPairwiseWordLengths:
         assert np.array_equal(got, scalar_matrix(pts, pts, unchecked=True))
         with pytest.raises(UnvalidatedFamilyError):
             pairwise_word_lengths(pts, pts)
+
+
+def into_A(family, h):
+    # The first alpha^k(h) in A, which the confining union axiom provides.
+    while not family.in_A(h):
+        h = family.alpha(h)
+    return h
+
+
+def random_words(family, hs):
+    letters = st.one_of(st.sampled_from([ALPHA, ALPHA_INV]), hs.map(lambda h: Gen(into_A(family, h))))
+    return st.lists(letters, max_size=12)
+
+
+# Six families per property: a smaller example budget than the profile's
+# keeps the class near 4 s.
+FEW = settings(max_examples=25)
+
+
+class TestMetricProperties:
+    @pytest.mark.parametrize("spec", sorted(H_STRATEGIES))
+    @FEW
+    @given(data=st.data())
+    def test_left_invariance(self, spec, data):
+        family, hs = H_STRATEGIES[spec]
+        xs = data.draw(point_lists(family, hs), label="xs")
+        ys = data.draw(point_lists(family, hs), label="ys")
+        g = data.draw(group_points(family, hs), label="g")
+        moved = pairwise_word_lengths([g * x for x in xs], [g * y for y in ys])
+        assert np.array_equal(moved, pairwise_word_lengths(xs, ys))
+
+    @pytest.mark.parametrize("spec", sorted(H_STRATEGIES))
+    @FEW
+    @given(data=st.data())
+    def test_triangle_inequality(self, spec, data):
+        family, hs = H_STRATEGIES[spec]
+        xs = data.draw(point_lists(family, hs), label="xs")
+        d = pairwise_word_lengths(xs, xs)
+        assert np.array_equal(d, d.T) and not d.diagonal().any()
+        # d[i, k] <= d[i, j] + d[j, k] at index [i, j, k].
+        assert (d[:, None, :] <= d[:, :, None] + d[None, :, :]).all()
+
+    @pytest.mark.parametrize("spec", sorted(H_STRATEGIES))
+    @FEW
+    @given(data=st.data())
+    def test_normal_form_evaluates_to_the_word(self, spec, data):
+        family, hs = H_STRATEGIES[spec]
+        w = data.draw(random_words(family, hs), label="w")
+        nf = rewrite_to_normal_form(family, w)
+        assert nf.evaluate() == evaluate(family, w)
+        assert nf.length() <= len(w)
 
 
 class TestBallPoints:
