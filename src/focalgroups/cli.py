@@ -124,17 +124,21 @@ def cmd_ball(args):
         lines.append("}")
         _emit(args, None, text="\n".join(lines))
     else:
-        _emit(
-            args,
-            {
-                "family": family.config(),
-                "window": window.as_dict(),
-                "radius": args.radius,
-                "seed": args.seed,
-                "n_points": len(D),
-                "points": [p.to_json() for p in pts],
-            },
-        )
+        payload = {
+            "family": family.config(),
+            "window": window.as_dict(),
+            "radius": args.radius,
+            "seed": args.seed,
+            "n_points": len(D),
+            "points": [p.to_json() for p in pts],
+        }
+        if args.samples is not None:
+            # Sampled words have at most `radius` letters, so the radius
+            # filter keeps every sampled point: a short ball means the
+            # sampler's attempt limit stopped it.
+            payload["samples_requested"] = args.samples
+            payload["complete"] = len(pts) == args.samples
+        _emit(args, payload)
     return 0
 
 

@@ -716,7 +716,9 @@ class NadicFamily(GroupFamily):
             yield Fraction(k, den)
 
     def in_window(self, h, window):
-        return abs(h) <= window.xmax and (h * self.n**window.dpow).denominator == 1
+        # In lowest terms, h * n^dpow is an integer exactly when h's
+        # denominator divides n^dpow.
+        return abs(h.numerator) <= window.xmax * h.denominator and self.n**window.dpow % h.denominator == 0
 
 
 @dataclass(frozen=True)

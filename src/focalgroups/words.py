@@ -422,10 +422,6 @@ class BfsResult:
         return graph_distance_matrix([k.decode() for k in keys], adjacency)
 
 
-def _in_window_point(x, window):
-    return abs(x.m) <= window.levels and x.family.in_window(x.h, window)
-
-
 def bfs_oracle(family, window=None, radius=5):
     """Exact distances from the identity in the Cayley graph restricted
     to the window, over generators (windowed A) u {alpha+-}.
@@ -454,24 +450,30 @@ def bfs_oracle(family, window=None, radius=5):
 
 def _witness_in_window(x, window):
     """Walk the closed-form geodesic witness and check every prefix stays
-    inside the window and every A-letter is a windowed generator."""
+    inside the window and every A-letter is a windowed generator.
+
+    The walk tracks the prefix's (h, m): an alpha letter moves only m, so
+    the window test of the unchanged h still holds, and an A-letter g
+    multiplies h by alpha^m(g).
+    """
     family = x.family
     try:
         letters = geodesic_witness(x, unchecked=True)
     except FamilyError:
         return False
-    pos = identity_point(family)
+    h, m = family.identity(), 0
     for letter in letters:
-        if isinstance(letter, Gen) and not family.in_window(letter.payload, window):
+        if not isinstance(letter, Gen):
+            m += 1 if letter == ALPHA else -1
+            if abs(m) > window.levels:
+                return False
+        elif not family.in_window(letter.payload, window):
             return False
-        pos = pos * (
-            alpha_point(family, 1)
-            if letter == ALPHA
-            else alpha_point(family, -1) if letter == ALPHA_INV else h_point(family, letter.payload)
-        )
-        if not _in_window_point(pos, window):
-            return False
-    return pos == x
+        else:
+            h = family.multiply(h, family.alpha_pow(letter.payload, m))
+            if not family.in_window(h, window):
+                return False
+    return GroupPoint(family, h, m) == x
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,52 @@
 """Point-by-point references for the batched group-law consumers.
 
-These are the scalar GroupPoint loops that breadth_first, the oracle's
-distance matrix, distortion_check's squaring and the Schottky check
-replaced; the tests pin the batched versions' outputs, element order
-included, against them.
+These are the scalar loops that breadth_first, the oracle's distance
+matrix and trusted set, graph_distance_matrix, distortion_check's
+squaring and the Schottky check replaced; the tests pin the batched
+versions' outputs, element order included, against them.
 """
 
 import random
 
-from focalgroups.metric import graph_distance_matrix, qi_embedding_check
-from focalgroups.words import DistortionReport, h_point, identity_point, word_length
+import numpy as np
+
+from focalgroups.families import FamilyError
+from focalgroups.metric import DistanceMatrix, MetricError, qi_embedding_check
+from focalgroups.words import (
+    ALPHA,
+    ALPHA_INV,
+    DistortionReport,
+    Gen,
+    alpha_point,
+    geodesic_witness,
+    h_point,
+    identity_point,
+    word_length,
+)
+
+
+def graph_distance_matrix(points, adjacency):
+    """metric.graph_distance_matrix with one Python BFS per source."""
+    n = len(points)
+    rows = []
+    for src in range(n):
+        row = [-1] * n
+        row[src] = 0
+        frontier, step, reached = [src], 0, 1
+        while frontier:
+            step += 1
+            nxt = []
+            for u in frontier:
+                for v in adjacency[u]:
+                    if row[v] < 0:
+                        row[v] = step
+                        nxt.append(v)
+            reached += len(nxt)
+            frontier = nxt
+        if reached != n:
+            raise MetricError("graph is disconnected")
+        rows.append(row)
+    return DistanceMatrix(points, np.array(rows, dtype=np.int64).reshape(n, n))
 
 
 def subgroup_closure(generators, L, cap):
@@ -85,6 +122,28 @@ def oracle_distance_matrix(res):
             if j is not None:
                 adjacency[i].append(j)
     return graph_distance_matrix([k.decode() for k in keys], adjacency)
+
+
+def witness_in_window(x, window):
+    """The oracle's trusted-set test, multiplying GroupPoints letter by
+    letter along the geodesic witness."""
+    family = x.family
+    try:
+        letters = geodesic_witness(x, unchecked=True)
+    except FamilyError:
+        return False
+    pos = identity_point(family)
+    for letter in letters:
+        if isinstance(letter, Gen) and not family.in_window(letter.payload, window):
+            return False
+        pos = pos * (
+            alpha_point(family, 1)
+            if letter == ALPHA
+            else alpha_point(family, -1) if letter == ALPHA_INV else h_point(family, letter.payload)
+        )
+        if not (abs(pos.m) <= window.levels and family.in_window(pos.h, window)):
+            return False
+    return pos == x
 
 
 def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaustive_cap=4096):

@@ -96,6 +96,20 @@ class TestBall:
         code, out, _ = run(capsys, "ball", "--family", "lamplighter:2", "--radius", "2", "--format", "dot")
         assert code == 0 and out.startswith("graph")
 
+    def test_short_sample_is_incomplete(self, capsys):
+        # Words of at most 2 letters over one lamp and alpha+- reach fewer than 50 points.
+        argv = ["ball", "--family", "lamplighter:2", "--radius", "2", "--window", "0,0,1", "--format", "json"]
+        code, out, _ = run(capsys, *argv, "--samples", "50")
+        payload = json.loads(out)
+        assert code == 0 and payload["n_points"] < 50
+        assert payload["samples_requested"] == 50 and payload["complete"] is False
+        code, out, _ = run(capsys, *argv, "--samples", "3")
+        payload = json.loads(out)
+        assert code == 0 and payload["n_points"] == 3
+        assert payload["samples_requested"] == 3 and payload["complete"] is True
+        _, out, _ = run(capsys, *argv)
+        assert "samples_requested" not in json.loads(out) and "complete" not in json.loads(out)
+
 
 class TestWordsAndElements:
     def test_nf_echo(self, capsys):

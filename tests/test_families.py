@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from focalgroups.families import (
     INF,
@@ -192,6 +194,19 @@ class TestWindows:
         assert list(L2.iter_window(LamplighterWindow(0, 0, 0))) == [(), ((0, 1),)]
         assert list(N2.iter_window(NadicWindow(0, 0, 0))) == [Fraction(0)]
 
+
+    @given(
+        n=st.sampled_from([2, 3, 10]),
+        num=st.integers(-5000, 5000),
+        k=st.integers(0, 6),
+        xmax=st.integers(0, 6),
+        dpow=st.integers(0, 6),
+    )
+    def test_nadic_in_window_matches_scaled_fraction(self, n, num, k, xmax, dpow):
+        # Fraction(num, n**k) reduces, so n = 10 also gives denominators such as 4 or 25.
+        h = Fraction(num, n**k)
+        want = abs(h) <= xmax and (h * n**dpow).denominator == 1
+        assert NadicFamily(n).in_window(h, NadicWindow(xmax, dpow, 1)) == want
 
     def test_product_window_yields_every_element_up_to_its_cap(self):
         prod = ProductFamily(L2, N2)

@@ -29,7 +29,6 @@ from focalgroups.words import (
     GroupPoint,
     Products,
     UnvalidatedFamilyError,
-    _witness_in_window,
     alpha_point,
     bfs_oracle,
     distortion_check,
@@ -202,7 +201,7 @@ class TestOracle:
         assert list(res.points.values()) == list(points.values())
         assert res.dist == dist
         assert res.truncated == truncated
-        assert res.trusted == {k for k, x in points.items() if _witness_in_window(x, window)}
+        assert res.trusted == {k for k, x in points.items() if ref.witness_in_window(x, window)}
         D, want = res.distance_matrix(), ref.oracle_distance_matrix(res)
         assert D.points == want.points
         assert np.array_equal(D.d, want.d)

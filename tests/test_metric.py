@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+import scalar_reference as ref
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from focalgroups import families
@@ -88,7 +89,64 @@ def random_graph_metric(n, seed):
     return DistanceMatrix(list(range(n)), d)
 
 
+@st.composite
+def adjacency_lists(draw):
+    """Directed or undirected graphs on 0-20 or 63-90 vertices: half of
+    them carry a spanning cycle (directed) or path (undirected), the rest
+    are mostly disconnected; extra edges may repeat or be self-loops."""
+    n = draw(st.one_of(st.integers(0, 20), st.integers(63, 90)), label="n")
+    directed = draw(st.booleans(), label="directed")
+    edges = []
+    if draw(st.booleans(), label="spanning"):
+        edges = [(i, (i + 1) % n) for i in range(n)] if directed else [(i, i + 1) for i in range(n - 1)]
+    if n:
+        edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n), label="extra")
+    adjacency = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacency[a].append(b)
+        if not directed:
+            adjacency[b].append(a)
+    return adjacency
+
+
+def distances_or_none(gdm, adjacency):
+    try:
+        D = gdm(list(range(len(adjacency))), adjacency)
+    except MetricError:
+        return None
+    assert D.d.dtype == np.int64
+    return D.d
+
+
 class TestGraphDistanceMatrix:
+    @given(adjacency=adjacency_lists())
+    @example(adjacency=[])
+    @example(adjacency=[[0, 0]])
+    @example(adjacency=[[(i + 1) % 65, (i + 1) % 65] for i in range(65)])
+    def test_matches_scalar_reference(self, adjacency):
+        want = distances_or_none(ref.graph_distance_matrix, adjacency)
+        got = distances_or_none(graph_distance_matrix, adjacency)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+
+    def test_directed_orientation(self):
+        # A directed 3-cycle 0 -> 1 -> 2 -> 0: d[s, t] runs from s to t.
+        D = graph_distance_matrix(list("abc"), [[1], [2], [0]])
+        assert D.d.tolist() == [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
+
+    @pytest.mark.parametrize(
+        "adjacency",
+        [
+            [[1], [0], [0]],  # vertex 2 has no in-edges
+            [[1], [2], [], [0]],  # 3 is unreachable and 2 reaches nothing
+        ],
+    )
+    def test_directed_unreachable_raises(self, adjacency):
+        for gdm in (graph_distance_matrix, ref.graph_distance_matrix):
+            with pytest.raises(MetricError, match="graph is disconnected"):
+                gdm(list(range(len(adjacency))), adjacency)
+
     def test_path(self):
         n = 6
         adjacency = [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
@@ -105,8 +163,9 @@ class TestGraphDistanceMatrix:
 
     def test_disconnected_rejected(self):
         adjacency = [[1], [0], [3], [2]]
-        with pytest.raises(MetricError):
-            graph_distance_matrix(list(range(4)), adjacency)
+        for gdm in (graph_distance_matrix, ref.graph_distance_matrix):
+            with pytest.raises(MetricError, match="graph is disconnected"):
+                gdm(list(range(4)), adjacency)
 
 
 class TestGromovProduct:
