@@ -194,7 +194,6 @@ class TestWindows:
         assert list(L2.iter_window(LamplighterWindow(0, 0, 0))) == [(), ((0, 1),)]
         assert list(N2.iter_window(NadicWindow(0, 0, 0))) == [Fraction(0)]
 
-
     @given(
         n=st.sampled_from([2, 3, 10]),
         num=st.integers(-5000, 5000),
