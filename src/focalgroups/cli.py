@@ -108,6 +108,8 @@ def cmd_verify(args):
 
 
 def cmd_ball(args):
+    if args.samples is not None and args.samples < 0:
+        raise CliError(f"--samples {args.samples}: must be >= 0")
     family = _family(args)
     window = _window(family, args)
     pts, D = words.ball_points(family, args.radius, window=window, sample=args.samples, seed=args.seed)

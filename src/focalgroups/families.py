@@ -622,7 +622,7 @@ class NadicFamily(GroupFamily):
         return h * self.n
 
     def alpha_pow(self, h, k):
-        return h / Fraction(self.n) ** k if k >= 0 else h * self.n ** (-k)
+        return h / self.n**k if k >= 0 else h * self.n ** (-k)
 
     def in_A(self, h):
         return abs(h) <= 1

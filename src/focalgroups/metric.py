@@ -209,28 +209,35 @@ def _defect2_at(d, xs):
     2 d(x,.) >= v, a prefix once each basepoint's points are sorted
     farthest first; and no level v can raise a defect above v - min g, so
     the scan stops when that no longer beats the least defect found.
+
+    g is held in the smallest signed integer type that holds 2 max d, and
+    a level only looks for its best pair at the basepoints where some
+    reached pair beats the defect found so far; there the pair is the
+    first (y, z) in row-major order of least g[y,z] among those reached.
     """
     xs = np.asarray(xs, dtype=np.intp)
+    d = d.astype(np.min_scalar_type(-1 - 2 * int(d.max())))
     order = np.argsort(-d[xs], axis=1, kind="stable")
     dx = np.take_along_axis(d[xs], order, axis=1)
-    g = dx[:, :, None] + dx[:, None, :] - d[order[:, :, None], order[:, None, :]]
+    g = dx[:, :, None] + dx[:, None, :] - np.stack([d[o][:, o] for o in order])
     levels = np.unique(g)[::-1]
     prefix = (2 * dx[:, :, None] >= levels).sum(axis=1).max(axis=0)
     gmin, rows = int(levels[-1]), np.arange(len(xs))
     best = np.zeros(len(xs), dtype=np.int64)
-    at = np.zeros(len(xs), dtype=np.intp)
+    y = np.zeros(len(xs), dtype=np.intp)
+    z = np.zeros(len(xs), dtype=np.intp)
     for v, k in zip(levels.tolist(), prefix.tolist()):
         if v - gmin <= best.min():
             break
         gk = g[:, :k, :k]
         b = (gk >= v).astype(np.float32)
-        cand = np.where(np.matmul(b, b) > 0, v - gk, 0).reshape(len(xs), -1)
-        arg = cand.argmax(axis=1)
-        top = cand[rows, arg]
-        better = top > best
-        best[better] = top[better]
-        at[better] = np.ravel_multi_index(np.unravel_index(arg[better], (k, k)), g.shape[1:])
-    y, z = np.unravel_index(at, g.shape[1:])
+        reached = np.matmul(b, b) > 0
+        beats = reached & (gk < (v - best).astype(g.dtype)[:, None, None])
+        i = np.flatnonzero(beats.any(axis=(1, 2)))
+        low = np.where(reached[i], gk[i], v).reshape(len(i), k * k)
+        at = low.argmin(axis=1)
+        best[i] = v - low[np.arange(len(i)), at]
+        y[i], z[i] = np.divmod(at, k)
     return best, np.stack([order[rows, y], order[rows, z]], axis=1)
 
 

@@ -2,8 +2,9 @@
 
 These are the scalar loops that breadth_first, the oracle's distance
 matrix and trusted set, graph_distance_matrix, distortion_check's
-squaring and the Schottky check replaced; the tests pin the batched
-versions' outputs, element order included, against them.
+squaring and the Schottky check replaced, and the int64 candidate-argmax
+form of the four-point kernel; the tests pin the faster versions'
+outputs, element order included, against them.
 """
 
 import random
@@ -47,6 +48,33 @@ def graph_distance_matrix(points, adjacency):
             raise MetricError("graph is disconnected")
         rows.append(row)
     return DistanceMatrix(points, np.array(rows, dtype=np.int64).reshape(n, n))
+
+
+def defect2_at(d, xs):
+    """metric._defect2_at on int64 Gromov products, taking at each level
+    the argmax of v - g[y,z] over every reached (basepoint, y, z)."""
+    xs = np.asarray(xs, dtype=np.intp)
+    order = np.argsort(-d[xs], axis=1, kind="stable")
+    dx = np.take_along_axis(d[xs], order, axis=1)
+    g = dx[:, :, None] + dx[:, None, :] - d[order[:, :, None], order[:, None, :]]
+    levels = np.unique(g)[::-1]
+    prefix = (2 * dx[:, :, None] >= levels).sum(axis=1).max(axis=0)
+    gmin, rows = int(levels[-1]), np.arange(len(xs))
+    best = np.zeros(len(xs), dtype=np.int64)
+    at = np.zeros(len(xs), dtype=np.intp)
+    for v, k in zip(levels.tolist(), prefix.tolist()):
+        if v - gmin <= best.min():
+            break
+        gk = g[:, :k, :k]
+        b = (gk >= v).astype(np.float32)
+        cand = np.where(np.matmul(b, b) > 0, v - gk, 0).reshape(len(xs), -1)
+        arg = cand.argmax(axis=1)
+        top = cand[rows, arg]
+        better = top > best
+        best[better] = top[better]
+        at[better] = np.ravel_multi_index(np.unravel_index(arg[better], (k, k)), g.shape[1:])
+    y, z = np.unravel_index(at, g.shape[1:])
+    return best, np.stack([order[rows, y], order[rows, z]], axis=1)
 
 
 def subgroup_closure(generators, L, cap):

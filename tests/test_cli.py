@@ -96,6 +96,11 @@ class TestBall:
         code, out, _ = run(capsys, "ball", "--family", "lamplighter:2", "--radius", "2", "--format", "dot")
         assert code == 0 and out.startswith("graph")
 
+    def test_negative_samples_is_config_error(self, capsys):
+        code, out, err = run(capsys, "ball", "--family", "lamplighter:2", "--radius", "2", "--samples", "-5", "--format", "json")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --samples -5")
+
     def test_short_sample_is_incomplete(self, capsys):
         # Words of at most 2 letters over one lamp and alpha+- reach fewer than 50 points.
         argv = ["ball", "--family", "lamplighter:2", "--radius", "2", "--window", "0,0,1", "--format", "json"]

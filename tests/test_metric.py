@@ -21,6 +21,7 @@ from focalgroups.metric import (
     qi_embedding_check,
     _defect2_at,
 )
+from focalgroups.trees import millefeuille, regular_tree_ball
 from focalgroups.words import ball_points
 
 
@@ -199,6 +200,31 @@ class TestGromovProduct:
             assert lhs <= D.distance(x, w)
 
 
+# The benchmark's ball matrices (its four certificate balls and the
+# nadic:2 oracle window taken as a ball; the lamplighter:2 oracle window is
+# the r5 ball's) and the T3 x T4 radius-3 millefeuille, where delta = 0
+# makes the kernel scan every level.
+KERNEL_MATRICES = {
+    "lamplighter2-r4": ("lamplighter:2", 4, None),
+    "lamplighter2-r5-window": ("lamplighter:2", 5, families.LamplighterWindow(-2, 2, 5)),
+    "nadic2-r3": ("nadic:2", 3, None),
+    "product-r2-window": (
+        "product(lamplighter:2,nadic:2)",
+        2,
+        families.ProductWindow(families.LamplighterWindow(-1, 1, 2), families.NadicWindow(1, 1, 2), 2),
+    ),
+    "nadic2-r5-window": ("nadic:2", 5, families.NadicWindow(2, 2, 5)),
+    "millefeuille-T3xT4-r3": None,
+}
+
+
+def kernel_matrix(key):
+    if KERNEL_MATRICES[key] is None:
+        return millefeuille(regular_tree_ball(2, 3), regular_tree_ball(3, 3)).distance_matrix()
+    spec, radius, window = KERNEL_MATRICES[key]
+    return ball_points(families.family_from_config(spec), radius, window=window)[1]
+
+
 class TestFourPointDelta:
     def test_path_is_tree(self):
         assert four_point_delta(path_metric(3)).delta == 0
@@ -271,6 +297,28 @@ class TestFourPointDelta:
         assert quadruple_defect(D, *report.witness) == report.delta
         assert report.samples == min(2, len(D)) * len(D) ** 3
         assert four_point_delta(D, exhaustive_cutoff=cutoff, seed=seed) == report
+
+    @given(D=graph_metrics(), data=st.data())
+    def test_kernel_matches_reference(self, D, data):
+        """Equal (defects, yz) on drawn basepoint subsets, with the metric
+        scaled so 2 max d lands on either side of 127 or 32,767: the edges
+        of the int8, int16 and int32 Gromov-product types."""
+        n, top = len(D), int(D.d.max())
+        xs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), label="xs")
+        limit = data.draw(st.sampled_from([None, 127, 32767]), label="limit")
+        factor = 1 if limit is None or top == 0 else limit // (2 * top) + data.draw(st.integers(0, 1), label="over")
+        d = D.d * max(factor, 1)
+        got, want = _defect2_at(d, xs), ref.defect2_at(d, xs)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("key", sorted(KERNEL_MATRICES))
+    def test_kernel_matches_reference_on_benchmark_matrices(self, key):
+        D = kernel_matrix(key)
+        n = len(D)
+        centre = int(np.argmin(D.d.max(axis=1)))
+        xs = [centre, *np.random.default_rng(0).choice(n, 3, replace=False).tolist()]
+        got, want = _defect2_at(D.d, xs), ref.defect2_at(D.d, xs)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize(
         "spec, radius, window, interval",
