@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import boundary, families, metric, trees, words
@@ -20,6 +21,12 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that starts with "-" as a flag unless it
+        # looks like a negative number; a window such as -1,1;1,1 is a value.
+        self._negative_number_matcher = re.compile(r"^-\d[\d,;-]*$")
+
     def error(self, message):
         raise CliError(message)
 
@@ -32,17 +39,37 @@ def _family(args):
 
 
 def _window(family, args):
+    """--window for family, or its default window for --radius.
+
+    A lamplighter window is 'lo,hi' and an n-adic one 'xmax,dpow', with an
+    optional ',levels'; a product's is 'LEFT;RIGHT' with an optional
+    ';levels', each side in its factor's two-integer form.  Levels
+    default to --radius."""
     if not args.window:
         return family.default_window(args.radius)
-    parts = [int(p) for p in args.window.split(",")]
+    product = isinstance(family, families.ProductFamily)
+    parts = args.window.split(";" if product else ",")
     if len(parts) not in (2, 3):
-        raise CliError(f"--window {args.window!r}: give 2 or 3 comma-separated integers")
-    if len(parts) == 2:
-        parts.append(args.radius)
+        form = "'LEFT;RIGHT' or 'LEFT;RIGHT;LEVELS'" if product else "2 or 3 comma-separated integers"
+        raise CliError(f"--window {args.window!r}: give {form}")
+    levels = int(parts[2]) if len(parts) == 3 else args.radius
+    if product:
+        return families.ProductWindow(
+            _factor_window(family.left, parts[0], levels), _factor_window(family.right, parts[1], levels), levels
+        )
+    return _factor_window(family, ",".join(parts[:2]), levels)
+
+
+def _factor_window(family, text, levels):
+    """The window 'lo,hi' of a lamplighter family or 'xmax,dpow' of an
+    n-adic one, with the given levels."""
+    pair = [int(p) for p in text.split(",")]
+    if len(pair) != 2:
+        raise CliError(f"--window side {text!r}: give 2 comma-separated integers")
     if isinstance(family, families.LamplighterFamily):
-        return families.LamplighterWindow(*parts)
+        return families.LamplighterWindow(*pair, levels)
     if isinstance(family, families.NadicFamily):
-        return families.NadicWindow(*parts)
+        return families.NadicWindow(*pair, levels)
     raise CliError(f"--window not supported for {family.name}; use the default")
 
 
@@ -148,9 +175,11 @@ def cmd_delta(args):
     family = _family(args)
     window = _window(family, args)
     _, D = words.ball_points(family, args.radius, window=window, seed=args.seed)
-    _, payload = _delta_verdict(family, D, args.seed)
+    delta, payload = _delta_verdict(family, D, args.seed)
     payload.update({"family": family.config(), "window": window.as_dict(), "radius": args.radius})
     _emit(args, payload)
+    if args.exact_only and not delta.exhaustive:
+        return 2
     return 0 if payload["within_bound"] else 2
 
 
@@ -311,6 +340,7 @@ def cmd_report(args):
         "seed": args.seed,
         "confining": confining.as_dict(),
     }
+    inexact = False
     if confining.passed and family.a_length_validated:
         payload["distortion"] = words.distortion_check(family, window=window, seed=args.seed).as_dict()
         _, D = words.ball_points(family, args.radius, window=window, seed=args.seed)
@@ -323,9 +353,11 @@ def cmd_report(args):
             for a in list(family.iter_A_window(window))[:2]
             if a != family.identity()
         ]
-        payload["action"] = boundary.action_type(gens, L=args.horizon, delta=delta.upper).as_dict()
+        action = boundary.action_type(gens, L=args.horizon, delta=delta.upper)
+        payload["action"] = action.as_dict()
+        inexact = not (delta.exhaustive and action.exact)
     _emit(args, payload)
-    return 0
+    return 2 if args.exact_only and inexact else 0
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +368,10 @@ def cmd_report(args):
 OPTIONS = {
     "family": dict(default="lamplighter:2", help="family spec, e.g. lamplighter:2, nadic:3, product(lamplighter:2,nadic:2), or JSON"),
     "radius": dict(type=int, default=6),
-    "window": dict(default=None, help="family window, e.g. '-3,3' (lamplighter) or '4,4' (nadic), with an optional third part for levels"),
+    "window": dict(
+        default=None,
+        help="family window, e.g. '-3,3' (lamplighter), '4,4' (nadic) or '-1,1;1,1' (product), with an optional last part for levels",
+    ),
     "horizon": dict(type=int, default=8),
     "seed": dict(type=int, default=0),
     "format": dict(choices=["json", "csv", "dot"], default="json"),
@@ -362,7 +397,7 @@ def build_parser():
 
     add("verify", cmd_verify, "confining axioms and distortion inclusions", ("family", "radius", "window", "horizon", "seed"))
     add("ball", cmd_ball, "windowed ball with exact pairwise distances", ("family", "radius", "window", "seed", "format", "samples"), format="csv")
-    add("delta", cmd_delta, "four-point hyperbolicity constant of a ball", ("family", "radius", "window", "seed"))
+    add("delta", cmd_delta, "four-point hyperbolicity constant of a ball", ("family", "radius", "window", "seed", "exact-only"))
 
     p = add("nf", cmd_nf, "rewrite a word to normal form", ("family",))
     p.add_argument("word", help="word like 'a- g{0:1} a+'")
@@ -386,7 +421,7 @@ def build_parser():
     p.add_argument("a")
     p.add_argument("b")
 
-    add("report", cmd_report, "full battery for one family", ("family", "radius", "window", "horizon", "seed"))
+    add("report", cmd_report, "full battery for one family", ("family", "radius", "window", "horizon", "seed", "exact-only"))
     return parser
 
 

@@ -233,7 +233,7 @@ def _require_validated(family, unchecked):
         )
 
 
-# Pairs per block of rows in pairwise_word_lengths: bounds every array
+# Pairs per block of rows in _encoded_word_lengths: bounds every array
 # temporary (512 kB each, so they stay in cache) whatever the size of the ball.
 PAIRS_PER_BLOCK = 1 << 16
 
@@ -246,25 +246,50 @@ def pairwise_word_lengths(xs, ys, unchecked=False):
     i >= max(0, -m) of 2i + m + a_length(alpha^i g) runs as array steps up
     to the same stopping index, the first such i with a_length <= 1 (the
     pair kernel of the family's basis gives it).  Both sides are encoded
-    once on one basis; rows go in blocks of nearby m_x, which keeps each
-    block's range of i short.
+    once on one basis, the rows in order of m_x, and go through
+    _encoded_word_lengths with every column in each block.
     """
-    out = np.zeros((len(xs), len(ys)), dtype=np.int64)
     if not xs or not ys:
-        return out
+        return np.zeros((len(xs), len(ys)), dtype=np.int64)
     family = xs[0].family
     if any(p.family != family for p in itertools.chain(xs, ys)):
         raise WordError("mixed families")
     _require_validated(family, unchecked)
     basis = family.basis([p.h for p in itertools.chain(xs, ys)], 1, 0)
-    R, C = basis.encode([x.h for x in xs]), basis.encode([y.h for y in ys])
     row_ms = np.array([x.m for x in xs], dtype=np.int64)
-    col_ms = np.array([y.m for y in ys], dtype=np.int64)
     order = np.argsort(row_ms, kind="stable")
-    step = max(1, PAIRS_PER_BLOCK // len(ys))
-    for lo in range(0, len(xs), step):
-        rows = order[lo : lo + step]
-        out[rows] = _block_word_lengths(basis, basis.take(R, rows), row_ms[rows], C, col_ms)
+    R = basis.encode([xs[i].h for i in order.tolist()])
+    C = basis.encode([y.h for y in ys])
+    out = np.empty((len(xs), len(ys)), dtype=np.int64)
+    out[order] = _encoded_word_lengths(basis, R, row_ms[order], C, np.array([y.m for y in ys], dtype=np.int64))
+    return out
+
+
+def _encoded_word_lengths(basis, R, row_ms, C, col_ms, symmetric=False):
+    """d(x_i, y_j) for encoded rows R and columns C, as an int64 array.
+
+    Rows must come in order of m (row_ms ascending) and go in blocks of
+    consecutive rows, which keeps each block's range of exponents short;
+    a block has at most PAIRS_PER_BLOCK pairs.  With `symmetric`, C is R
+    itself and the matrix is symmetric with a zero diagonal: each block
+    runs only against the columns from its own first row on and is
+    mirrored, and blocks hold at most a third of the rows, so every set
+    of points does about two thirds of the pairs or fewer.
+    """
+    n_rows, n_cols = len(row_ms), len(col_ms)
+    out = np.empty((n_rows, n_cols), dtype=np.int64)
+    if not n_rows or not n_cols:
+        return out
+    step = PAIRS_PER_BLOCK // n_cols
+    if symmetric:
+        step = min(step, -(-n_rows // 3))
+    step = max(1, step)
+    for lo in range(0, n_rows, step):
+        rows, cols = slice(lo, lo + step), slice(lo if symmetric else 0, None)
+        block = _block_word_lengths(basis, basis.take(R, rows), row_ms[rows], basis.take(C, cols), col_ms[cols])
+        out[rows, cols] = block
+        if symmetric:
+            out[cols, rows] = block.T
     return out
 
 
@@ -482,24 +507,55 @@ def _witness_in_window(x, window):
 
 
 def ball_points(family, radius, window=None, sample=None, seed=0, unchecked=False):
-    """Points of B(radius) with exact pairwise distances.
+    """Points of B(radius), sorted by key, with exact pairwise distances.
 
-    Exhaustive over the windowed slice of G by default; when `sample` is
-    given, a deterministic seeded sample of that size is drawn instead.
-    Both the radius filter and the matrix come from
-    pairwise_word_lengths.  Returns (points, DistanceMatrix).
+    Exhaustive over the windowed slice of G by default (every window
+    element h with every exponent |m| <= levels); when `sample` is given,
+    a deterministic seeded sample of that size is drawn instead.  The
+    candidates' H-elements are encoded once on one basis (the window's
+    elements, or the sampled points' h), and the candidates are one take
+    of that encoding with their exponents as an int64 array.  The
+    identity row over them is the radius filter.  Keys come from
+    canonical_bytes(h), once per window element, plus @m, and only the
+    kept points become GroupPoints.  The kept rows run against themselves
+    as a triangle: in order of m, each block of rows only against the
+    columns from its own start on, mirrored.  Returns (points,
+    DistanceMatrix).
     """
+    _require_validated(family, unchecked)
     if window is None:
         window = family.default_window(radius)
     if sample is None:
-        levels = range(-window.levels, window.levels + 1)
-        candidates = [GroupPoint(family, h, m) for h in family.iter_window(window) for m in levels]
+        hs = list(family.iter_window(window))
+        h_of = np.repeat(np.arange(len(hs)), 2 * window.levels + 1)
+        ms = np.tile(np.arange(-window.levels, window.levels + 1, dtype=np.int64), len(hs))
     else:
-        candidates = sample_points(family, sample, max_len=radius, seed=seed, window=window)
-    lengths = pairwise_word_lengths([identity_point(family)], candidates, unchecked=unchecked)[0]
-    pts = sorted((x for x, ell in zip(candidates, lengths) if ell <= radius), key=GroupPoint.key)
-    d = pairwise_word_lengths(pts, pts, unchecked=unchecked)
-    ids = [x.key().decode() for x in pts]
+        drawn = sample_points(family, sample, max_len=radius, seed=seed, window=window)
+        hs = [x.h for x in drawn]
+        h_of = np.arange(len(hs))
+        ms = np.array([x.m for x in drawn], dtype=np.int64)
+    basis = family.basis(hs, 1, 0)
+    cands = basis.take(basis.encode(hs), h_of)
+    one = basis.encode([family.identity()])
+    lengths = _encoded_word_lengths(basis, one, np.zeros(1, dtype=np.int64), cands, ms)[0]
+    kept = np.flatnonzero(lengths <= radius)
+    h_of, ms = h_of[kept].tolist(), ms[kept]
+    h_keys = {i: family.canonical_bytes(hs[i]) for i in set(h_of)}
+    keys = [h_keys[i] + b"@%d" % m for i, m in zip(h_of, ms.tolist())]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    pts = [GroupPoint(family, hs[h_of[r]], m) for r, m in zip(order, ms[order].tolist())]
+    ids = [keys[r].decode() for r in order]
+    # The matrix runs on the sorted points in order of m, where sorted
+    # point p is row at[p].
+    by_m = np.argsort(ms[order], kind="stable")
+    at = np.empty_like(by_m)
+    at[by_m] = np.arange(len(by_m))
+    rows = np.array(order, dtype=np.intp)[by_m]
+    R = basis.take(cands, kept[rows])
+    d = _encoded_word_lengths(basis, R, ms[rows], R, ms[rows], symmetric=True)
+    # One gather per axis, each freeing the array before it.
+    d = d.take(at, axis=0)
+    d = d.take(at, axis=1)
     return pts, DistanceMatrix(ids, d)
 
 

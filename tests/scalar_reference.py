@@ -2,8 +2,9 @@
 
 These are the scalar loops that breadth_first, the oracle's distance
 matrix and trusted set, graph_distance_matrix, distortion_check's
-squaring and the Schottky check replaced, and the int64 candidate-argmax
-form of the four-point kernel; the tests pin the faster versions'
+squaring and the Schottky check replaced, the int64 candidate-argmax
+form of the four-point kernel, and ball_points with a GroupPoint per
+candidate and two full pairwise_word_lengths calls; the tests pin the faster versions'
 outputs, element order included, against them.
 """
 
@@ -18,10 +19,13 @@ from focalgroups.words import (
     ALPHA_INV,
     DistortionReport,
     Gen,
+    GroupPoint,
     alpha_point,
     geodesic_witness,
     h_point,
     identity_point,
+    pairwise_word_lengths,
+    sample_points,
     word_length,
 )
 
@@ -48,6 +52,24 @@ def graph_distance_matrix(points, adjacency):
             raise MetricError("graph is disconnected")
         rows.append(row)
     return DistanceMatrix(points, np.array(rows, dtype=np.int64).reshape(n, n))
+
+
+def ball_points(family, radius, window=None, sample=None, seed=0, unchecked=False):
+    """words.ball_points with a GroupPoint per candidate: the identity row
+    over the candidates filters them, and the kept points, sorted by key,
+    give the whole matrix from a second pairwise_word_lengths call."""
+    if window is None:
+        window = family.default_window(radius)
+    if sample is None:
+        levels = range(-window.levels, window.levels + 1)
+        candidates = [GroupPoint(family, h, m) for h in family.iter_window(window) for m in levels]
+    else:
+        candidates = sample_points(family, sample, max_len=radius, seed=seed, window=window)
+    lengths = pairwise_word_lengths([identity_point(family)], candidates, unchecked=unchecked)[0]
+    pts = sorted((x for x, ell in zip(candidates, lengths) if ell <= radius), key=GroupPoint.key)
+    d = pairwise_word_lengths(pts, pts, unchecked=unchecked)
+    ids = [x.key().decode() for x in pts]
+    return pts, DistanceMatrix(ids, d)
 
 
 def defect2_at(d, xs):

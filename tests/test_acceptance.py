@@ -5,6 +5,7 @@ nowhere else; metric comparisons are exact integer arithmetic.
 Run:  pytest tests/test_acceptance.py -v -s
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -71,6 +72,22 @@ BALL_WINDOWS = {
 }
 
 
+# Point count and sha256 digests of the radius-6 balls: the matrix over
+# D.d as little-endian int64 bytes, the ids over "\n".join(D.points).
+RADIUS6_DIGESTS = {
+    L2: (
+        866,
+        "3d84ef2ad854520d7a98b23156a0f911ae4f13423aedaac1b5089928af6b2677",
+        "ed49e345ed430890d642486646b585d916ad6564513d65e1f077ab5d531d09c7",
+    ),
+    N2: (
+        1229,
+        "19e656385eb035bc43d6832c0cb00a3ef39df36399dd2b9d5c2866ac7eee7684",
+        "d7807cbee09a5f920d705594b6f90a7d500f4cbe8cabebe89b47c47a1062d7dd",
+    ),
+}
+
+
 def report(number, ok, detail):
     print(f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
@@ -101,6 +118,14 @@ def test_criterion_1_delta_bound(radius6):
             f"{entry['delta'].n_points} points in {entry['elapsed']:.1f}s"
         )
     report(1, ok, "; ".join(details))
+
+
+def test_radius6_balls_pinned(radius6):
+    for family, (n_points, matrix, ids) in RADIUS6_DIGESTS.items():
+        D = radius6[family]["D"]
+        assert len(D) == n_points
+        assert hashlib.sha256(D.d.astype("<i8").tobytes()).hexdigest() == matrix
+        assert hashlib.sha256("\n".join(D.points).encode()).hexdigest() == ids
 
 
 def test_criterion_2_oracle_equivalence():

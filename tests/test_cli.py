@@ -75,6 +75,26 @@ class TestDelta:
         assert code == 1 and out == ""
         assert err.startswith("error: unrecognized arguments")
 
+    def test_exact_only(self, capsys):
+        # 18 points take the exact interval, 146 the basepoint one.
+        code, out, _ = run(capsys, "delta", "--family", "lamplighter:2", "--radius", "2", "--exact-only")
+        assert code == 0 and json.loads(out)["method"] == "exact"
+        code, out, _ = run(capsys, "delta", "--family", "lamplighter:2", "--radius", "4", "--exact-only")
+        payload = json.loads(out)
+        assert code == 2 and payload["method"] == "basepoints" and payload["within_bound"]
+
+    def test_product_window(self, capsys):
+        # Above radius 4 the product's default window passes its cap.
+        argv = ["delta", "--family", "product(lamplighter:2,nadic:3)", "--radius", "5", "--window", "-1,1;1,1"]
+        code, out, _ = run(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 0 and payload["n_points"] == 450
+        assert payload["window"] == {
+            "left": {"lo": -1, "hi": 1, "levels": 5},
+            "right": {"xmax": 1, "dpow": 1, "levels": 5},
+            "levels": 5,
+        }
+
     def test_product_window_above_cap_is_config_error(self, capsys):
         code, out, err = run(capsys, "delta", "--family", "product(lamplighter:2,nadic:2)", "--radius", "7")
         assert code == 1 and out == ""
@@ -266,6 +286,16 @@ class TestReport:
         assert payload["action"]["witnesses"]["axis_radius"] == 5.0
         assert payload["action"]["type"] == "focal"
 
+    def test_exact_only(self, capsys):
+        # The delta interval on 18 points is exact; the lineal/focal verdict is not.
+        argv = ["report", "--family", "lamplighter:2", "--radius", "2"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--exact-only")
+        payload = json.loads(out)
+        assert code == 2
+        assert payload["delta"]["method"] == "exact" and payload["action"]["exact"] is False
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "delta", "--family", "lamplighter:2", "--radius", "3", "--out", str(target))
@@ -277,7 +307,7 @@ class TestReport:
 SUBCOMMAND_FLAGS = {
     "verify": {"family", "radius", "window", "horizon", "seed"},
     "ball": {"family", "radius", "window", "seed", "format", "samples"},
-    "delta": {"family", "radius", "window", "seed"},
+    "delta": {"family", "radius", "window", "seed", "exact-only"},
     "nf": {"family"},
     "dist": {"family", "unchecked"},
     "classify": {"family", "horizon", "seed", "unchecked", "exact-only"},
@@ -285,7 +315,7 @@ SUBCOMMAND_FLAGS = {
     "tree": {"family", "radius", "seed", "format"},
     "millefeuille": {"radius", "seed", "format"},
     "schottky": {"family", "horizon", "unchecked"},
-    "report": {"family", "radius", "window", "horizon", "seed"},
+    "report": {"family", "radius", "window", "horizon", "seed", "exact-only"},
 }
 
 
@@ -297,7 +327,7 @@ class TestFlags:
             for name, p in sub.choices.items()
         }
         assert declared == {name: flags | {"out"} for name, flags in SUBCOMMAND_FLAGS.items()}
-        assert sum(map(len, declared.values())) == 52
+        assert sum(map(len, declared.values())) == 54
 
     def test_per_subcommand_defaults(self):
         parse = build_parser().parse_args
@@ -315,7 +345,7 @@ class TestFlags:
         [
             ["nf", "--family", "lamplighter:2", "--seed", "1", "a+"],
             ["delta", "--family", "lamplighter:2", "--radius", "2", "--format", "csv"],
-            ["report", "--family", "lamplighter:2", "--radius", "2", "--exact-only"],
+            ["report", "--family", "lamplighter:2", "--radius", "2", "--unchecked"],
             ["millefeuille", "--family", "nadic:2", "T3", "T3"],
             ["dist", "--family", "nadic:2", "--radius", "3", "a+"],
         ],
@@ -354,8 +384,20 @@ class TestFlags:
             ["delta", "--family", "lamplighter:2", "--window", "3"],
             ["ball", "--family", "nadic:2", "--window", "2"],
             ["ball", "--family", "lamplighter:2", "--radius", "2", "--window", "1,2,3,4"],
+            ["ball", "--family", "product(lamplighter:2,nadic:2)", "--radius", "2", "--window", "-1,1"],
+            ["ball", "--family", "product(lamplighter:2,nadic:2)", "--radius", "2", "--window", "-1,1;1"],
+            ["ball", "--family", "product(lamplighter:2,nadic:2)", "--radius", "2", "--window", "-1,1,2;1,1"],
+            ["ball", "--family", "product(lamplighter:2,nadic:2)", "--radius", "2", "--window", "-1,1;1,1;2;3"],
         ],
-        ids=["one-part", "one-part-nadic", "four-parts"],
+        ids=[
+            "one-part",
+            "one-part-nadic",
+            "four-parts",
+            "product-one-side",
+            "product-one-part-side",
+            "product-three-part-side",
+            "product-four-parts",
+        ],
     )
     def test_window_needs_two_or_three_parts(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -370,13 +412,30 @@ class TestFlags:
             ["ball", "--family", "lamplighter:2", "--radius", "2", "--window", "3,-3"],
             ["ball", "--family", "lamplighter:2", "--radius", "-1"],
             ["ball", "--family", "product(lamplighter:2,nadic:2)", "--radius", "-1"],
+            ["ball", "--family", "product(lamplighter:2,nadic:2)", "--radius", "2", "--window", "1,0;1,1"],
+            ["ball", "--family", "product(lamplighter:2,nadic:2)", "--radius", "2", "--window", "-1,1;-1,1"],
         ],
-        ids=["nadic-xmax", "nadic-dpow", "lamplighter-lo-above-hi", "negative-radius", "product-negative-radius"],
+        ids=[
+            "nadic-xmax",
+            "nadic-dpow",
+            "lamplighter-lo-above-hi",
+            "negative-radius",
+            "product-negative-radius",
+            "product-lamplighter-lo-above-hi",
+            "product-nadic-xmax",
+        ],
     )
     def test_window_out_of_range(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "window" in err
+
+    def test_product_window_third_part_sets_levels(self, capsys):
+        argv = ["ball", "--family", "product(lamplighter:2,nadic:2)", "--radius", "2", "--window", "0,1;1,0;1", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 0 and payload["window"]["levels"] == 1
+        assert payload["window"]["left"] == {"lo": 0, "hi": 1, "levels": 1}
 
     def test_window_third_part_sets_levels(self, capsys):
         code, out, _ = run(capsys, "ball", "--family", "lamplighter:2", "--radius", "2", "--window=-1,1,2", "--format", "json")

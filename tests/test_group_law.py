@@ -4,6 +4,7 @@ consumers against the scalar loops they replaced (tests/scalar_reference.py).
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,11 +26,13 @@ from focalgroups.families import (
     ProductWindow,
     SpoofIdentityFamily,
 )
+from focalgroups import words
 from focalgroups.words import (
     GroupPoint,
     Products,
     UnvalidatedFamilyError,
     alpha_point,
+    ball_points,
     bfs_oracle,
     distortion_check,
     h_point,
@@ -205,6 +208,52 @@ class TestOracle:
         D, want = res.distance_matrix(), ref.oracle_distance_matrix(res)
         assert D.points == want.points
         assert np.array_equal(D.d, want.d)
+
+
+def lamplighter_windows(lo, hi, radius):
+    return st.builds(LamplighterWindow, st.integers(lo, 0), st.integers(0, hi), st.integers(0, radius))
+
+
+def nadic_windows(xmax, dpow, radius):
+    return st.builds(NadicWindow, st.integers(0, xmax), st.integers(0, dpow), st.integers(0, radius))
+
+
+# family, the largest radius whose default window stays small, and the
+# narrowed windows for a radius.
+BALLS = {
+    "lamplighter:2": (L2, 4, lambda r: lamplighter_windows(-2, 2, r)),
+    "lamplighter:3": (L3, 3, lambda r: lamplighter_windows(-2, 1, r)),
+    "nadic:2": (N2, 4, lambda r: nadic_windows(2, 3, r)),
+    "nadic:3": (N3, 3, lambda r: nadic_windows(2, 2, r)),
+    "product": (
+        PROD,
+        2,
+        lambda r: st.builds(ProductWindow, lamplighter_windows(-1, 1, r), nadic_windows(1, 1, r), st.integers(0, r)),
+    ),
+}
+
+
+class TestBallPoints:
+    @pytest.mark.parametrize("spec", sorted(BALLS))
+    @FEW
+    @given(data=st.data())
+    def test_matches_scalar_reference(self, spec, data):
+        # One encoding and the mirrored triangle give the points, ids and
+        # matrix of a GroupPoint per candidate and two full pair calls; a
+        # small PAIRS_PER_BLOCK makes many ragged blocks.
+        family, default_max, windows = BALLS[spec]
+        radius = data.draw(st.integers(0, 4), label="radius")
+        sample = data.draw(st.none() | st.integers(0, 40), label="sample")
+        seed = data.draw(st.integers(0, 50), label="seed")
+        narrow = (sample is None and radius > default_max) or data.draw(st.booleans(), label="narrow")
+        window = data.draw(windows(radius), label="window") if narrow else None
+        block = data.draw(st.sampled_from([words.PAIRS_PER_BLOCK, 2000, 150]), label="block")
+        want_pts, want = ref.ball_points(family, radius, window=window, sample=sample, seed=seed)
+        with mock.patch.object(words, "PAIRS_PER_BLOCK", block):
+            pts, D = ball_points(family, radius, window=window, sample=sample, seed=seed)
+        assert pts == want_pts
+        assert D.points == want.points
+        assert D.d.dtype == np.int64 and np.array_equal(D.d, want.d)
 
 
 DISTORTIONS = {
