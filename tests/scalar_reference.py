@@ -4,8 +4,8 @@ These are the scalar loops that breadth_first, the oracle's distance
 matrix and trusted set, graph_distance_matrix, distortion_check's
 squaring and the Schottky check replaced, the int64 candidate-argmax
 form of the four-point kernel, and ball_points with a GroupPoint per
-candidate and two full pairwise_word_lengths calls; the tests pin the faster versions'
-outputs, element order included, against them.
+candidate and two full pairwise_word_lengths calls; the tests pin the
+faster versions' outputs, element order included, against them.
 """
 
 import random
