@@ -340,7 +340,6 @@ def cmd_report(args):
         "seed": args.seed,
         "confining": confining.as_dict(),
     }
-    inexact = False
     if confining.passed and family.a_length_validated:
         payload["distortion"] = words.distortion_check(family, window=window, seed=args.seed).as_dict()
         _, D = words.ball_points(family, args.radius, window=window, seed=args.seed)
@@ -353,11 +352,9 @@ def cmd_report(args):
             for a in list(family.iter_A_window(window))[:2]
             if a != family.identity()
         ]
-        action = boundary.action_type(gens, L=args.horizon, delta=delta.upper)
-        payload["action"] = action.as_dict()
-        inexact = not (delta.exhaustive and action.exact)
+        payload["action"] = boundary.action_type(gens, L=args.horizon, delta=delta.upper).as_dict()
     _emit(args, payload)
-    return 2 if args.exact_only and inexact else 0
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +418,7 @@ def build_parser():
     p.add_argument("a")
     p.add_argument("b")
 
-    add("report", cmd_report, "full battery for one family", ("family", "radius", "window", "horizon", "seed", "exact-only"))
+    add("report", cmd_report, "full battery for one family", ("family", "radius", "window", "horizon", "seed"))
     return parser
 
 

@@ -260,26 +260,29 @@ def pairwise_word_lengths(xs, ys, unchecked=False):
     order = np.argsort(row_ms, kind="stable")
     R = basis.encode([xs[i].h for i in order.tolist()])
     C = basis.encode([y.h for y in ys])
-    out = np.empty((len(xs), len(ys)), dtype=np.int64)
-    out[order] = _encoded_word_lengths(basis, R, row_ms[order], C, np.array([y.m for y in ys], dtype=np.int64))
-    return out
+    return _encoded_word_lengths(basis, R, row_ms[order], C, np.array([y.m for y in ys], dtype=np.int64), at=order)
 
 
-def _encoded_word_lengths(basis, R, row_ms, C, col_ms, symmetric=False):
+def _encoded_word_lengths(basis, R, row_ms, C, col_ms, at=None, symmetric=False):
     """d(x_i, y_j) for encoded rows R and columns C, as an int64 array.
 
     Rows must come in order of m (row_ms ascending) and go in blocks of
     consecutive rows, which keeps each block's range of exponents short;
-    a block has at most PAIRS_PER_BLOCK pairs.  With `symmetric`, C is R
-    itself and the matrix is symmetric with a zero diagonal: each block
-    runs only against the columns from its own first row on and is
-    mirrored, and blocks hold at most a third of the rows, so every set
-    of points does about two thirds of the pairs or fewer.
+    a block has at most PAIRS_PER_BLOCK pairs.  Encoded row r is written
+    straight to row at[r] of the result (row r when at is None).  With
+    `symmetric`, C is R itself, column c goes to column at[c], and the
+    matrix is symmetric with a zero diagonal: each block runs only
+    against the columns from its own first row on and is mirrored, and
+    blocks hold at most a third of the rows, so every set of points does
+    about two thirds of the pairs or fewer.  The columns are moved to
+    at[c] a block of rows at a time, so the result is the only
+    matrix-sized array.
     """
     n_rows, n_cols = len(row_ms), len(col_ms)
     out = np.empty((n_rows, n_cols), dtype=np.int64)
     if not n_rows or not n_cols:
         return out
+    at = np.arange(n_rows) if at is None else at
     step = PAIRS_PER_BLOCK // n_cols
     if symmetric:
         step = min(step, -(-n_rows // 3))
@@ -287,9 +290,14 @@ def _encoded_word_lengths(basis, R, row_ms, C, col_ms, symmetric=False):
     for lo in range(0, n_rows, step):
         rows, cols = slice(lo, lo + step), slice(lo if symmetric else 0, None)
         block = _block_word_lengths(basis, basis.take(R, rows), row_ms[rows], basis.take(C, cols), col_ms[cols])
-        out[rows, cols] = block
+        out[at[rows], cols] = block
         if symmetric:
-            out[cols, rows] = block.T
+            out[at[cols], rows] = block.T
+    if symmetric:
+        # Column c of each row still holds encoded column c.
+        to = np.argsort(at)
+        for lo in range(0, n_rows, step):
+            out[lo : lo + step] = out[lo : lo + step].take(to, axis=1)
     return out
 
 
@@ -519,7 +527,8 @@ def ball_points(family, radius, window=None, sample=None, seed=0, unchecked=Fals
     canonical_bytes(h), once per window element, plus @m, and only the
     kept points become GroupPoints.  The kept rows run against themselves
     as a triangle: in order of m, each block of rows only against the
-    columns from its own start on, mirrored.  Returns (points,
+    columns from its own start on, mirrored, and written straight to its
+    points' rows and columns in key order.  Returns (points,
     DistanceMatrix).
     """
     _require_validated(family, unchecked)
@@ -545,17 +554,12 @@ def ball_points(family, radius, window=None, sample=None, seed=0, unchecked=Fals
     order = sorted(range(len(keys)), key=keys.__getitem__)
     pts = [GroupPoint(family, hs[h_of[r]], m) for r, m in zip(order, ms[order].tolist())]
     ids = [keys[r].decode() for r in order]
-    # The matrix runs on the sorted points in order of m, where sorted
-    # point p is row at[p].
+    # The matrix runs on the sorted points in order of m: its encoded row
+    # r is sorted point by_m[r].
     by_m = np.argsort(ms[order], kind="stable")
-    at = np.empty_like(by_m)
-    at[by_m] = np.arange(len(by_m))
     rows = np.array(order, dtype=np.intp)[by_m]
     R = basis.take(cands, kept[rows])
-    d = _encoded_word_lengths(basis, R, ms[rows], R, ms[rows], symmetric=True)
-    # One gather per axis, each freeing the array before it.
-    d = d.take(at, axis=0)
-    d = d.take(at, axis=1)
+    d = _encoded_word_lengths(basis, R, ms[rows], R, ms[rows], at=by_m, symmetric=True)
     return pts, DistanceMatrix(ids, d)
 
 

@@ -286,16 +286,6 @@ class TestReport:
         assert payload["action"]["witnesses"]["axis_radius"] == 5.0
         assert payload["action"]["type"] == "focal"
 
-    def test_exact_only(self, capsys):
-        # The delta interval on 18 points is exact; the lineal/focal verdict is not.
-        argv = ["report", "--family", "lamplighter:2", "--radius", "2"]
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        code, out, _ = run(capsys, *argv, "--exact-only")
-        payload = json.loads(out)
-        assert code == 2
-        assert payload["delta"]["method"] == "exact" and payload["action"]["exact"] is False
-
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "delta", "--family", "lamplighter:2", "--radius", "3", "--out", str(target))
@@ -315,7 +305,7 @@ SUBCOMMAND_FLAGS = {
     "tree": {"family", "radius", "seed", "format"},
     "millefeuille": {"radius", "seed", "format"},
     "schottky": {"family", "horizon", "unchecked"},
-    "report": {"family", "radius", "window", "horizon", "seed", "exact-only"},
+    "report": {"family", "radius", "window", "horizon", "seed"},
 }
 
 
@@ -327,7 +317,7 @@ class TestFlags:
             for name, p in sub.choices.items()
         }
         assert declared == {name: flags | {"out"} for name, flags in SUBCOMMAND_FLAGS.items()}
-        assert sum(map(len, declared.values())) == 54
+        assert sum(map(len, declared.values())) == 53
 
     def test_per_subcommand_defaults(self):
         parse = build_parser().parse_args
@@ -345,7 +335,7 @@ class TestFlags:
         [
             ["nf", "--family", "lamplighter:2", "--seed", "1", "a+"],
             ["delta", "--family", "lamplighter:2", "--radius", "2", "--format", "csv"],
-            ["report", "--family", "lamplighter:2", "--radius", "2", "--unchecked"],
+            ["report", "--family", "lamplighter:2", "--radius", "2", "--exact-only"],
             ["millefeuille", "--family", "nadic:2", "T3", "T3"],
             ["dist", "--family", "nadic:2", "--radius", "3", "a+"],
         ],
