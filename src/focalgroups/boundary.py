@@ -17,10 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .metric import QIReport, qi_embedding_check
-from .words import Products, alpha_point, breadth_first, identity_point, pairwise_word_lengths, word_length
+from .words import (
+    Products,
+    _require_validated,
+    alpha_point,
+    breadth_first,
+    identity_point,
+    pairwise_word_lengths,
+    word_length,
+)
 
 
 class StabilizationError(RuntimeError):
@@ -220,31 +226,13 @@ def axis_distance(x, unchecked=False):
 
     For x = (h, m) the exponent projection gives d(x, alpha^k) >= |m - k|,
     so only k within base = d(x, alpha^m) of m can do better than base.
-    This is the scalar reference for axis_distances."""
+    No verdict rests on it: action_type decides lineal or focal from
+    fixed points, not from distances to the axis."""
     base = word_length(x.inverse() * alpha_point(x.family, x.m), unchecked=unchecked)
     best = base
     for k in range(x.m - base, x.m + base + 1):
         best = min(best, word_length(x.inverse() * alpha_point(x.family, k), unchecked=unchecked))
     return best
-
-
-def axis_distances(xs, unchecked=False):
-    """axis_distance(x) for every x in xs, as an int64 array.
-
-    One pairwise_word_lengths call against alpha^k for k in [min m, max m]
-    gives each base = d(x, alpha^m_x); a second one over k widened by the
-    largest base covers every x's window [m_x - base, m_x + base], and
-    the columns outside it are true distances no smaller than base, so
-    each row minimum is exact."""
-    if not xs:
-        return np.zeros(0, dtype=np.int64)
-    family = xs[0].family
-    ms = np.array([x.m for x in xs], dtype=np.int64)
-    lo, hi = int(ms.min()), int(ms.max())
-    near = pairwise_word_lengths(xs, [alpha_point(family, k) for k in range(lo, hi + 1)], unchecked=unchecked)
-    reach = int(near[np.arange(len(xs)), ms - lo].max())
-    axis = [alpha_point(family, k) for k in range(lo - reach, hi + reach + 1)]
-    return pairwise_word_lengths(xs, axis, unchecked=unchecked).min(axis=1)
 
 
 def _subgroup_closure(generators, L, cap):
@@ -260,50 +248,39 @@ def _subgroup_closure(generators, L, cap):
     return sweep.points, sweep.closed, sweep.capped
 
 
-def action_type(generators, L=8, delta=None, cap=20000, unchecked=False):
+def action_type(generators, L=8, cap=20000, unchecked=False):
     """Classify the action of the subgroup generated by `generators`.
 
-    General type is never emitted: these ambient groups fix an end, so
-    every subgroup action is bounded, horocyclic, lineal or focal.  The
-    lineal/focal split uses the axis neighbourhood of radius
-    2*delta + max generator length, so `delta` must be an upper bound on
-    the four-point constant (DeltaReport.upper).
+    General type is never emitted: these ambient groups fix an end omega,
+    so every subgroup action is bounded, horocyclic, lineal or focal.
+
+    With a hyperbolic generator g0 = (h0, m0) (the first with m0 != 0),
+    the subgroup is lineal exactly when it fixes a second boundary point,
+    which can only be g0's other fixed point xi0 (Gromov 1987, 8.2).  H is
+    abelian and acts on the boundary minus omega by xi -> h + alpha^m(xi),
+    so a generator (h, m) fixes xi0 iff (1 - alpha^m0) h = (1 - alpha^m) h0,
+    which is the identity g0 * g == g * g0.  Each generator is tested once:
+    no closure, word length, delta or horizon enters the verdict, and L is
+    only reported.  The verdict is exact on validated families; under
+    `unchecked` it rests on the family's own group law alone (the spoof
+    family's alpha = id makes every pair commute, so it reads lineal).
+
+    With every m = 0 the subgroup lies in H: horocyclic when a generator
+    is certified unbounded, bounded when the closure of words of length
+    <= L closes, and horocyclic (not exact) when it does not.
     """
     if not generators:
         raise ValueError("need at least one generator")
     family = generators[0].family
-    ms = [g.m for g in generators]
+    g0 = next((g for g in generators if g.m != 0), None)
 
-    if any(m != 0 for m in ms):
-        if delta is None:
-            delta = Fraction(1)
-        gen_len = max(word_length(g, unchecked=unchecked) for g in generators)
-        radius = 2 * delta + gen_len
-        elems, _closed, capped = _subgroup_closure(generators, L, cap)
-        dists = axis_distances(elems, unchecked=unchecked)
-        far = int(np.argmax(dists))  # the first element at the largest distance
-        worst = int(dists[far])
-        if Fraction(worst) <= radius:
-            return ActionVerdict(
-                LINEAL,
-                L,
-                exact=False,
-                witnesses={"axis_radius": float(radius), "max_axis_distance": worst},
-                low_confidence=capped,
-                complete=not capped,
-            )
-        return ActionVerdict(
-            FOCAL,
-            L,
-            exact=False,
-            witnesses={
-                "axis_radius": float(radius),
-                "escape_witness": repr(elems[far]),
-                "escape_distance": worst,
-            },
-            low_confidence=capped,
-            complete=not capped,
-        )
+    if g0 is not None:
+        _require_validated(family, unchecked)
+        witnesses = {"fixed_point_of": repr(g0)}
+        mover = next((g for g in generators if g0 * g != g * g0), None)
+        if mover is not None:
+            witnesses["moves_it"] = repr(mover)
+        return ActionVerdict(LINEAL if mover is None else FOCAL, L, exact=family.a_length_validated, witnesses=witnesses)
 
     # Everything in the kernel of the exponent: bounded or horocyclic.
     certificate = next((g for g in generators if family.h_unbounded(g.h)), None)

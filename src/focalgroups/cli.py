@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import re
 import sys
@@ -340,20 +341,27 @@ def cmd_report(args):
         "seed": args.seed,
         "confining": confining.as_dict(),
     }
-    if confining.passed and family.a_length_validated:
-        payload["distortion"] = words.distortion_check(family, window=window, seed=args.seed).as_dict()
-        _, D = words.ball_points(family, args.radius, window=window, seed=args.seed)
-        delta, payload["delta"] = _delta_verdict(family, D, args.seed)
-        payload["compaction_index"] = family.compaction_index()
-        alpha = words.alpha_point(family, 1)
-        payload["beta_alpha"] = boundary.busemann_quasicharacter(alpha, N=args.horizon).as_dict()
-        gens = [alpha] + [
-            words.h_point(family, a)
-            for a in list(family.iter_A_window(window))[:2]
-            if a != family.identity()
-        ]
-        payload["action"] = boundary.action_type(gens, L=args.horizon, delta=delta.upper).as_dict()
+    if not (confining.passed and family.a_length_validated):
+        # Nothing below holds without the axioms and a validated a_length.
+        _emit(args, payload)
+        return 2
+    distortion = words.distortion_check(family, window=window, seed=args.seed)
+    payload["distortion"] = distortion.as_dict()
+    _, D = words.ball_points(family, args.radius, window=window, seed=args.seed)
+    delta, payload["delta"] = _delta_verdict(family, D, args.seed)
+    payload["compaction_index"] = family.compaction_index()
+    alpha = words.alpha_point(family, 1)
+    payload["beta_alpha"] = boundary.busemann_quasicharacter(alpha, N=args.horizon).as_dict()
+    gens = [alpha] + [
+        words.h_point(family, a) for a in itertools.islice(family.iter_A_window(window), 2) if a != family.identity()
+    ]
+    action = boundary.action_type(gens, L=args.horizon)
+    payload["action"] = action.as_dict()
     _emit(args, payload)
+    if not (distortion.passed and payload["delta"]["within_bound"]):
+        return 2
+    if args.exact_only and not (delta.exhaustive and action.exact):
+        return 2
     return 0
 
 
@@ -418,7 +426,7 @@ def build_parser():
     p.add_argument("a")
     p.add_argument("b")
 
-    add("report", cmd_report, "full battery for one family", ("family", "radius", "window", "horizon", "seed"))
+    add("report", cmd_report, "full battery for one family", ("family", "radius", "window", "horizon", "seed", "exact-only"))
     return parser
 
 

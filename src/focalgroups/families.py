@@ -132,6 +132,16 @@ class GroupFamily:
         """All A-elements inside the window."""
         raise NotImplementedError
 
+    def a_window_shape(self, window):
+        """(number of elements of iter_A_window(window), index of the
+        identity among them), without listing them."""
+        raise NotImplementedError
+
+    def a_window_letter(self, window, index):
+        """Element number `index` of iter_A_window(window), without listing
+        the ones before it."""
+        raise NotImplementedError
+
     def in_window(self, h, window):
         raise NotImplementedError
 
@@ -514,6 +524,19 @@ class LamplighterFamily(GroupFamily):
     def iter_A_window(self, window):
         return self._iter_configs(max(window.lo, 0), window.hi)
 
+    def a_window_shape(self, window):
+        # One base-q digit per lamp position; the identity is all zeros.
+        return self.q ** max(0, window.hi - max(window.lo, 0) + 1), 0
+
+    def a_window_letter(self, window, index):
+        # _iter_configs counts in base q with the first position most significant.
+        lamps = []
+        for pos in range(window.hi, max(window.lo, 0) - 1, -1):
+            index, val = divmod(index, self.q)
+            if val:
+                lamps.append((pos, val))
+        return tuple(reversed(lamps))
+
     def in_window(self, h, window):
         return all(window.lo <= pos <= window.hi for pos, _ in h)
 
@@ -715,6 +738,14 @@ class NadicFamily(GroupFamily):
         for k in range(-den, den + 1):
             yield Fraction(k, den)
 
+    def a_window_shape(self, window):
+        den = self.n**window.dpow
+        return 2 * den + 1, den
+
+    def a_window_letter(self, window, index):
+        den = self.n**window.dpow
+        return Fraction(index - den, den)
+
     def in_window(self, h, window):
         # In lowest terms, h * n^dpow is an integer exactly when h's
         # denominator divides n^dpow.
@@ -838,16 +869,29 @@ class ProductFamily(GroupFamily):
     def iter_A_window(self, window):
         return self._capped(window, list(self.left.iter_A_window(window.left)), list(self.right.iter_A_window(window.right)))
 
+    def a_window_shape(self, window):
+        # iter_A_window's pairs in row-major order, under the same cap.
+        (nl, il), (nr, ir) = self.left.a_window_shape(window.left), self.right.a_window_shape(window.right)
+        _check_cap(window, nl * nr)
+        return nl * nr, il * nr + ir
+
+    def a_window_letter(self, window, index):
+        i, j = divmod(index, self.right.a_window_shape(window.right)[0])
+        return (self.left.a_window_letter(window.left, i), self.right.a_window_letter(window.right, j))
+
     @staticmethod
     def _capped(window, left, right):
         """All pairs, or FamilyError when there are more than window.cap."""
-        size = len(left) * len(right)
-        if size > window.cap:
-            raise FamilyError(f"product window has {size} elements, above its cap of {window.cap}")
+        _check_cap(window, len(left) * len(right))
         return itertools.product(left, right)
 
     def in_window(self, h, window):
         return self.left.in_window(h[0], window.left) and self.right.in_window(h[1], window.right)
+
+
+def _check_cap(window, size):
+    if size > window.cap:
+        raise FamilyError(f"product window has {size} elements, above its cap of {window.cap}")
 
 
 def family_from_config(config):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -577,13 +578,35 @@ def random_word(family, rng, max_len, a_letters):
     return letters
 
 
+class _WindowALetters(Sequence):
+    """The A-letters of a window other than the identity, in
+    iter_A_window order, each built when it is drawn: a windowed A can be
+    far too large to list (lamplighter(q) has q^4 letters at radius 7)."""
+
+    def __init__(self, family, window):
+        self.family, self.window = family, window
+        self.size, self.identity_at = family.a_window_shape(window)
+
+    def __len__(self):
+        return self.size - 1
+
+    def __getitem__(self, i):
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        return self.family.a_window_letter(self.window, i + (i >= self.identity_at))
+
+
 def window_a_letters(family, window):
-    return [a for a in family.iter_A_window(window) if a != family.identity()]
+    return _WindowALetters(family, window)
 
 
 def sample_points(family, count, max_len=8, seed=0, window=None):
     """Deterministic sample of distinct group points: evaluates random
-    words over windowed A-letters and alpha+-, dropping duplicates."""
+    words over windowed A-letters and alpha+-, dropping duplicates.  Each
+    A-letter is built from the index drawn, so the window's A is never
+    listed."""
     if window is None:
         window = family.default_window(max_len)
     rng = random.Random(seed)

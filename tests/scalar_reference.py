@@ -3,9 +3,12 @@
 These are the scalar loops that breadth_first, the oracle's distance
 matrix and trusted set, graph_distance_matrix, distortion_check's
 squaring and the Schottky check replaced, the int64 candidate-argmax
-form of the four-point kernel, and ball_points with a GroupPoint per
-candidate and two full pairwise_word_lengths calls; the tests pin the
-faster versions' outputs, element order included, against them.
+form of the four-point kernel, ball_points with a GroupPoint per
+candidate and two full pairwise_word_lengths calls, sample_points
+drawing from a list of every windowed A-letter, the batched distances
+to the axis {alpha^k}, and the fixed-point identity behind the lineal /
+focal verdict written in H's own operations; the tests pin the faster
+versions' outputs, element order included, against them.
 """
 
 import random
@@ -21,11 +24,12 @@ from focalgroups.words import (
     Gen,
     GroupPoint,
     alpha_point,
+    evaluate,
     geodesic_witness,
     h_point,
     identity_point,
     pairwise_word_lengths,
-    sample_points,
+    random_word,
     word_length,
 )
 
@@ -273,3 +277,60 @@ def schottky(a, b, L, unchecked=False):
     report.injective = report.injective and injective
     return report.as_dict(), injective, count, collision
 
+
+
+def sample_points(family, count, max_len=8, seed=0, window=None):
+    """words.sample_points drawing each A-letter from a list of every
+    non-identity windowed A-letter."""
+    if window is None:
+        window = family.default_window(max_len)
+    rng = random.Random(seed)
+    a_letters = [a for a in family.iter_A_window(window) if a != family.identity()]
+    seen, out = set(), []
+    attempts = 0
+    while len(out) < count and attempts < 50 * count:
+        attempts += 1
+        x = evaluate(family, random_word(family, rng, max_len, a_letters))
+        if x.key() not in seen:
+            seen.add(x.key())
+            out.append(x)
+    return out
+
+
+def axis_distances(xs, unchecked=False):
+    """boundary.axis_distance(x) for every x in xs, as an int64 array.
+
+    One pairwise_word_lengths call against alpha^k for k in [min m, max m]
+    gives each base = d(x, alpha^m_x); a second one over k widened by the
+    largest base covers every x's window [m_x - base, m_x + base], and
+    the columns outside it are true distances no smaller than base, so
+    each row minimum is exact."""
+    if not xs:
+        return np.zeros(0, dtype=np.int64)
+    family = xs[0].family
+    ms = np.array([x.m for x in xs], dtype=np.int64)
+    lo, hi = int(ms.min()), int(ms.max())
+    near = pairwise_word_lengths(xs, [alpha_point(family, k) for k in range(lo, hi + 1)], unchecked=unchecked)
+    reach = int(near[np.arange(len(xs)), ms - lo].max())
+    axis = [alpha_point(family, k) for k in range(lo - reach, hi + reach + 1)]
+    return pairwise_word_lengths(xs, axis, unchecked=unchecked).min(axis=1)
+
+
+def fixes_fixed_point(g0, g):
+    """Whether g = (h, m) fixes the second fixed point of g0 = (h0, m0),
+    m0 != 0: (1 - alpha^m0) h == (1 - alpha^m) h0 in H, each side written
+    as x * alpha^k(x)^-1 with the family's multiply, invert and alpha_pow."""
+    f = g0.family
+
+    def one_minus_alpha(k, h):
+        return f.multiply(h, f.invert(f.alpha_pow(h, k)))
+
+    return one_minus_alpha(g0.m, g.h) == one_minus_alpha(g.m, g0.h)
+
+
+def lineal_or_focal(generators):
+    """The action type of a generator set with a hyperbolic generator:
+    lineal iff every generator fixes the first hyperbolic one's second
+    fixed point."""
+    g0 = next(g for g in generators if g.m != 0)
+    return "lineal" if all(fixes_fixed_point(g0, g) for g in generators) else "focal"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_words import H_STRATEGIES, point_lists
+from scalar_reference import axis_distances, lineal_or_focal
+from test_words import H_STRATEGIES, PROD, group_points, point_lists
 
 from focalgroups.boundary import (
     BOUNDED,
@@ -17,7 +18,6 @@ from focalgroups.boundary import (
     StabilizationError,
     action_type,
     axis_distance,
-    axis_distances,
     busemann_quasicharacter,
     horokernel,
     isometry_type,
@@ -25,7 +25,7 @@ from focalgroups.boundary import (
     translation_number,
 )
 from focalgroups.families import LamplighterFamily, NadicFamily, SpoofIdentityFamily
-from focalgroups.words import UnvalidatedFamilyError, alpha_point, h_point, identity_point, sample_points
+from focalgroups.words import GroupPoint, UnvalidatedFamilyError, alpha_point, h_point, identity_point, sample_points
 
 L2 = LamplighterFamily(2)
 N2 = NadicFamily(2)
@@ -222,23 +222,24 @@ class TestAxisDistances:
             (
                 [alpha_point(L2, 1), h_point(L2, L2.lamp(0))],
                 FOCAL,
-                {"axis_radius": 3.0, "escape_witness": "({0:1}, 7)", "escape_distance": 8},
+                {"fixed_point_of": "({}, 1)", "moves_it": "({0:1}, 0)"},
             ),
             (
                 [alpha_point(N2, 1), h_point(N2, N2.element(1))],
                 FOCAL,
-                {"axis_radius": 3.0, "escape_witness": "({1}, 7)", "escape_distance": 8},
+                {"fixed_point_of": "({0}, 1)", "moves_it": "({1}, 0)"},
             ),
-            ([alpha_point(L2, 1)], LINEAL, {"axis_radius": 3.0, "max_axis_distance": 0}),
-            ([alpha_point(N2, 2)], LINEAL, {"axis_radius": 4.0, "max_axis_distance": 0}),
+            ([alpha_point(L2, 1)], LINEAL, {"fixed_point_of": "({}, 1)"}),
+            ([alpha_point(N2, 2)], LINEAL, {"fixed_point_of": "({0}, 2)"}),
         ],
         ids=["focal-lamplighter", "focal-nadic", "lineal-lamplighter", "lineal-nadic"],
     )
     def test_verdict_witnesses_pinned(self, gens, kind, witnesses):
-        # Pinned from the scalar axis_distance scan: the witness is the
-        # first closure element at the largest distance.
+        # The first hyperbolic generator names the fixed point, and a focal
+        # verdict adds the first generator that does not fix it.
         v = action_type(gens, L=8)
         assert v.kind == kind and v.witnesses == witnesses
+        assert v.exact and v.complete and not v.low_confidence and v.horizon == 8
 
     def test_unvalidated_family_refused(self):
         spoof = SpoofIdentityFamily(2)
@@ -248,6 +249,68 @@ class TestAxisDistances:
         with pytest.raises(UnvalidatedFamilyError):
             action_type(xs)
         assert axis_distances(xs, unchecked=True).tolist() == [axis_distance(x, unchecked=True) for x in xs]
+        # alpha = id: every pair commutes, so the spoof verdict is lineal, not exact.
+        v = action_type(xs, unchecked=True)
+        assert v.kind == LINEAL and not v.exact
+
+
+def delta0(family):
+    """The lamp at 0, g{1} on an n-adic family, and both on the product."""
+    if isinstance(family, LamplighterFamily):
+        return h_point(family, family.lamp(0))
+    if isinstance(family, NadicFamily):
+        return h_point(family, family.element(1))
+    return h_point(family, (delta0(family.left).h, delta0(family.right).h))
+
+
+def verdict_table(family):
+    a, d = alpha_point(family, 1), delta0(family)
+    ad = a * d
+    return {
+        "<a d>": ([ad], LINEAL),
+        "<a>": ([a], LINEAL),
+        "<a d, (a d)^2>": ([ad, ad**2], LINEAL),
+        "<a d, (a d)^-3>": ([ad, ad**-3], LINEAL),
+        "<a, d>": ([a, d], FOCAL),
+        "<a, d a d^-1>": ([a, d * a * d.inverse()], FOCAL),
+        "<a^2, d a^2 d^-1>": ([a**2, d * a**2 * d.inverse()], FOCAL),
+    }
+
+
+class TestFixedPointVerdict:
+    @pytest.mark.parametrize("family", [L2, N2, PROD], ids=lambda f: f.name)
+    def test_table_same_at_every_horizon(self, family):
+        for name, (gens, kind) in verdict_table(family).items():
+            for L in (4, 8, 12, 16):
+                v = action_type(gens, L=L)
+                assert (name, L, v.kind, v.exact, v.horizon) == (name, L, kind, True, L)
+                assert v.complete and not v.low_confidence
+
+    @pytest.mark.parametrize("spec", sorted(H_STRATEGIES))
+    @given(data=st.data())
+    def test_matches_fixed_point_identity(self, spec, data):
+        family, hs = H_STRATEGIES[spec]
+        g0 = data.draw(st.builds(GroupPoint, st.just(family), hs, st.integers(-7, 7).filter(bool)), label="g0")
+        # Powers of g0 share its fixed points; other points mostly move them.
+        powers = [g0**k for k in data.draw(st.lists(st.integers(-3, 3), max_size=3), label="powers")]
+        others = data.draw(st.lists(group_points(family, hs), max_size=3), label="others")
+        gens = data.draw(st.permutations([g0] + powers + others), label="gens")
+        v = action_type(gens)
+        assert v.kind == lineal_or_focal(gens)
+        assert v.exact
+        if not others:
+            assert v.kind == LINEAL
+
+    @pytest.mark.parametrize("family", [L2, N2, PROD], ids=lambda f: f.name)
+    def test_schottky_agrees(self, family):
+        # Distinct fixed points give a free subsemigroup; a shared one does not.
+        a, d = alpha_point(family, 1), delta0(family)
+        assert schottky_semigroup_check(a, d * a * d.inverse(), L=10).injective
+        assert schottky_semigroup_check(a, a * d, L=10).injective
+        ad = a * d
+        assert schottky_semigroup_check(ad, ad**2, L=10).collision == ("b", "aa")
+        assert action_type([a, d * a * d.inverse()]).kind == action_type([a, a * d]).kind == FOCAL
+        assert action_type([ad, ad**2]).kind == LINEAL
 
 
 class TestSchottky:

@@ -191,14 +191,21 @@ class TestClassify:
         assert payload["action"]["type"] == "horocyclic"
 
     def test_exact_only_gate(self, capsys):
-        # lineal verdicts are horizon-limited, never exact
+        # A hyperbolic generator set gets an exact lineal/focal verdict.
         code, _, _ = run(capsys, "classify", "--family", "lamplighter:2", "a+", "--exact-only")
-        assert code == 2
+        assert code == 0
         code, _, _ = run(capsys, "classify", "--family", "nadic:2", "g{1}", "--exact-only")
         assert code == 0
+        # A lamp orbit that has not closed at the horizon is not exact.
+        lamp = '{"lamps": {"-3": 1}}'
+        code, out, _ = run(capsys, "classify", "--family", "lamplighter:2", "--horizon", "2", "g{0:1}", lamp, "--exact-only")
+        assert code == 2 and json.loads(out)["action"]["type"] == "horocyclic"
+        code, _, _ = run(capsys, "classify", "--family", "spoof-identity:2", "--unchecked", "a+", "--exact-only")
+        assert code == 2
 
     def test_spoof_unchecked_matches_scalar_scan(self, capsys):
-        # Pinned from the scalar axis_distance scan.
+        # alpha = id: every generator commutes with a+, so the verdict is
+        # lineal, and not exact on an unvalidated family.
         code, out, _ = run(capsys, "classify", "--family", "spoof-identity:2", "--unchecked", "a+", "g{0:1}")
         assert code == 0
         assert json.loads(out)["action"] == {
@@ -207,7 +214,7 @@ class TestClassify:
             "horizon": 8,
             "low_confidence": False,
             "type": "lineal",
-            "witnesses": {"axis_radius": 3.0, "max_axis_distance": 1},
+            "witnesses": {"fixed_point_of": "({}, 1)"},
         }
 
     def test_long_lamp_token(self, capsys):
@@ -282,9 +289,32 @@ class TestReport:
         payload = json.loads(out)
         assert code == 0
         assert (payload["delta"]["delta"], payload["delta"]["upper"]) == (1.0, 2.0)
-        # 2*delta + the longest generator (length 1), with delta the upper bound
-        assert payload["action"]["witnesses"]["axis_radius"] == 5.0
-        assert payload["action"]["type"] == "focal"
+        # The verdict no longer rests on delta: the first windowed lamp moves
+        # the fixed point of a+.
+        assert payload["action"]["witnesses"] == {"fixed_point_of": "({}, 1)", "moves_it": "({2:1}, 0)"}
+        assert payload["action"]["type"] == "focal" and payload["action"]["exact"]
+
+    def test_focal_at_every_horizon(self, capsys):
+        # The axis-distance test called this report lineal at horizon 4.
+        for horizon in ("4", "8"):
+            code, out, _ = run(capsys, "report", "--family", "lamplighter:2", "--radius", "3", "--horizon", horizon)
+            assert code == 0 and json.loads(out)["action"]["type"] == "focal"
+
+    def test_uncertified_family_exits_2(self, capsys):
+        code, out, _ = run(capsys, "report", "--family", "spoof-identity:2", "--radius", "2")
+        payload = json.loads(out)
+        assert code == 2
+        assert not payload["confining"]["passed"] and "action" not in payload
+
+    def test_exact_only(self, capsys):
+        # 18 points take the exact delta interval, 146 the basepoint one.
+        code, out, _ = run(capsys, "report", "--family", "lamplighter:2", "--radius", "2", "--exact-only")
+        payload = json.loads(out)
+        assert code == 0 and payload["delta"]["exhaustive"] and payload["action"]["exact"]
+        code, out, _ = run(capsys, "report", "--family", "lamplighter:2", "--radius", "4", "--exact-only")
+        assert code == 2 and not json.loads(out)["delta"]["exhaustive"]
+        code, _, _ = run(capsys, "report", "--family", "spoof-identity:2", "--radius", "2", "--exact-only")
+        assert code == 2
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -305,7 +335,7 @@ SUBCOMMAND_FLAGS = {
     "tree": {"family", "radius", "seed", "format"},
     "millefeuille": {"radius", "seed", "format"},
     "schottky": {"family", "horizon", "unchecked"},
-    "report": {"family", "radius", "window", "horizon", "seed"},
+    "report": {"family", "radius", "window", "horizon", "seed", "exact-only"},
 }
 
 
@@ -317,7 +347,7 @@ class TestFlags:
             for name, p in sub.choices.items()
         }
         assert declared == {name: flags | {"out"} for name, flags in SUBCOMMAND_FLAGS.items()}
-        assert sum(map(len, declared.values())) == 53
+        assert sum(map(len, declared.values())) == 54
 
     def test_per_subcommand_defaults(self):
         parse = build_parser().parse_args
@@ -335,7 +365,7 @@ class TestFlags:
         [
             ["nf", "--family", "lamplighter:2", "--seed", "1", "a+"],
             ["delta", "--family", "lamplighter:2", "--radius", "2", "--format", "csv"],
-            ["report", "--family", "lamplighter:2", "--radius", "2", "--exact-only"],
+            ["report", "--family", "lamplighter:2", "--radius", "2", "--unchecked"],
             ["millefeuille", "--family", "nadic:2", "T3", "T3"],
             ["dist", "--family", "nadic:2", "--radius", "3", "a+"],
         ],

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_reference import sample_points as listed_sample_points
 
 from focalgroups.families import (
+    FamilyError,
     LamplighterFamily,
     LamplighterWindow,
     NadicFamily,
     NadicWindow,
     ProductFamily,
+    ProductWindow,
     SpoofIdentityFamily,
 )
 from focalgroups import words
@@ -137,6 +140,48 @@ class TestRewrite:
                 nf = rewrite_to_normal_form(family, witness)
                 assert nf.length() == len(witness) == word_length(g)
                 assert nf.k <= k0
+
+
+def windows(family):
+    """Windows of family, including ones whose A holds only the identity."""
+    if isinstance(family, ProductFamily):
+        return st.builds(ProductWindow, windows(family.left), windows(family.right), st.integers(0, 7))
+    if isinstance(family, LamplighterFamily):
+        return st.tuples(st.integers(-4, 4), st.integers(0, 5)).map(lambda t: LamplighterWindow(t[0], t[0] + t[1], 7))
+    return st.builds(NadicWindow, st.integers(0, 3), st.integers(0, 3), st.integers(0, 7))
+
+
+def outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except (IndexError, FamilyError) as exc:
+        return type(exc)
+
+
+class TestSamplePoints:
+    @pytest.mark.parametrize("family", FAMILIES + [LamplighterFamily(3), NadicFamily(10), SpoofIdentityFamily(2)], ids=lambda f: f.name)
+    @given(data=st.data())
+    def test_draws_match_listed_letters(self, family, data):
+        window = data.draw(windows(family), label="window")
+        letters = outcome(list, window_a_letters(family, window))
+        listed = outcome(lambda: [a for a in family.iter_A_window(window) if a != family.identity()])
+        assert letters == listed
+        count, max_len, seed = data.draw(st.tuples(st.integers(0, 20), st.integers(0, 7), st.integers(0, 999)))
+        got = outcome(sample_points, family, count, max_len=max_len, seed=seed, window=window)
+        assert got == outcome(listed_sample_points, family, count, max_len=max_len, seed=seed, window=window)
+
+    def test_large_q_lists_no_letters(self):
+        # 200^4 - 1 A-letters at the default radius-7 window: drawn, not listed.
+        family = LamplighterFamily(200)
+        assert len(window_a_letters(family, family.default_window(7))) == 200**4 - 1
+        pts = sample_points(family, 60, max_len=7)
+        assert len(pts) == 60 and len({x.key() for x in pts}) == 60
+
+    def test_product_cap_still_raises(self):
+        family = ProductFamily(L2, N2)
+        window = ProductWindow(LamplighterWindow(-3, 3, 5), NadicWindow(2, 11, 5), 5)
+        with pytest.raises(FamilyError, match="above its cap"):
+            sample_points(family, 5, max_len=5, window=window)
 
 
 class TestWordLength:
