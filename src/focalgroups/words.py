@@ -591,8 +591,6 @@ class _WindowALetters(Sequence):
         return self.size - 1
 
     def __getitem__(self, i):
-        if i < 0:
-            i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(i)
         return self.family.a_window_letter(self.window, i + (i >= self.identity_at))

@@ -278,7 +278,6 @@ def schottky(a, b, L, unchecked=False):
     return report.as_dict(), injective, count, collision
 
 
-
 def sample_points(family, count, max_len=8, seed=0, window=None):
     """words.sample_points drawing each A-letter from a list of every
     non-identity windowed A-letter."""
