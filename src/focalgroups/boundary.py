@@ -20,6 +20,7 @@ from fractions import Fraction
 from .metric import QIReport, qi_embedding_check
 from .words import (
     Products,
+    _identity_row_lengths,
     _require_validated,
     alpha_point,
     breadth_first,
@@ -334,13 +335,14 @@ class SchottkyReport:
 def schottky_semigroup_check(a, b, L=10, unchecked=False):
     """Evaluate every positive word in {a, b} of length <= L; report
     injectivity of the evaluation and the tightest embedding constants
-    between word length and d(1, value).  Each level is one Products call
-    and one identity-row pairwise_word_lengths call."""
+    between word length and d(1, value).  Each level is one Products call,
+    and its lengths are the identity row over the level's encoded values
+    on the same basis: no value is decoded."""
     if L > 14:
         raise ValueError("more than 2^14 words requested")
+    _require_validated(a.family, unchecked)
     law = Products([a, b], L)
-    one = identity_point(a.family)
-    enc, ms = law.encode([one])
+    enc, ms = law.encode([identity_point(a.family)])
     labels = [""]
     seen = {}
     samples = set()
@@ -354,7 +356,7 @@ def schottky_semigroup_check(a, b, L=10, unchecked=False):
                 seen[key] = w
             elif collision is None:
                 collision = (seen[key], w)
-        lengths = pairwise_word_lengths([one], law.decode(enc, ms), unchecked=unchecked)[0]
+        lengths = _identity_row_lengths(law.family, law.basis, enc, ms)
         samples.update((level, v) for v in set(lengths.tolist()))
         count += len(labels)
     injective = collision is None

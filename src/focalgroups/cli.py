@@ -352,9 +352,8 @@ def cmd_report(args):
     payload["compaction_index"] = family.compaction_index()
     alpha = words.alpha_point(family, 1)
     payload["beta_alpha"] = boundary.busemann_quasicharacter(alpha, N=args.horizon).as_dict()
-    gens = [alpha] + [
-        words.h_point(family, a) for a in itertools.islice(family.iter_A_window(window), 2) if a != family.identity()
-    ]
+    # <alpha, a> for the first windowed A-letter a other than the identity.
+    gens = [alpha] + [words.h_point(family, a) for a in itertools.islice(words.window_a_letters(family, window), 1)]
     action = boundary.action_type(gens, L=args.horizon)
     payload["action"] = action.as_dict()
     _emit(args, payload)

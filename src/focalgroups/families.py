@@ -188,11 +188,12 @@ class LamplighterBasis:
     """Lamp configurations as rows of digit columns over positions lo..hi.
 
     The batched group law of every basis: encode and decode lists of
-    H-elements, take rows, hashable row keys (equal exactly when the
-    elements are), a window mask, and twisted_products(X, ms, S), whose
-    row r * len(S) + c encodes h_r . alpha^ms[r](s_c).  With twisted
-    False, alpha is the identity and ms is ignored.  Digits are uint8
-    while a sum of two stays below 256, so a row costs a byte a position.
+    H-elements, take rows, concatenate encodings, hashable row keys (equal
+    exactly when the elements are), a window mask, and
+    twisted_products(X, ms, S), whose row r * len(S) + c encodes
+    h_r . alpha^ms[r](s_c).  With twisted False, alpha is the identity and
+    ms is ignored.  Digits are uint8 while a sum of two stays below 256,
+    so a row costs a byte a position.
 
     Every basis also runs the pair word-length kernel: pair_a_lengths(R,
     row_ms, C) gives a_length on the grid of pair quotients g_ij =
@@ -227,6 +228,9 @@ class LamplighterBasis:
 
     def take(self, enc, rows):
         return enc[rows]
+
+    def concat(self, encs):
+        return np.concatenate(encs)
 
     def row_keys(self, enc):
         return np.ascontiguousarray(enc).view(np.dtype((np.void, self.dtype.itemsize * self.width))).ravel().tolist()
@@ -293,6 +297,9 @@ class NadicBasis:
 
     def take(self, enc, rows):
         return enc[rows]
+
+    def concat(self, encs):
+        return np.concatenate(encs)
 
     def row_keys(self, enc):
         return enc.tolist()
@@ -366,6 +373,9 @@ class ProductBasis:
 
     def take(self, enc, rows):
         return (self.left.take(enc[0], rows), self.right.take(enc[1], rows))
+
+    def concat(self, encs):
+        return (self.left.concat([e[0] for e in encs]), self.right.concat([e[1] for e in encs]))
 
     def row_keys(self, enc):
         return list(zip(self.left.row_keys(enc[0]), self.right.row_keys(enc[1])))

@@ -3,8 +3,10 @@ products, the four-point hyperbolicity constant, two-sided affine
 embedding constants, and all-pairs distances of finite graphs.
 
 All rational values are computed in scaled-integer arithmetic and
-returned as Fractions; floats never enter a comparison.  The four-point
-constant is a (max,min) matrix product per basepoint, computed with numpy.
+returned as Fractions; floats never decide a comparison (the embedding
+fit's float ratios only propose a candidate that integer products
+confirm).  The four-point constant is a (max,min) matrix product per
+basepoint, computed with numpy.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import numbers
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -321,29 +324,42 @@ class QIReport:
 
 
 def qi_embedding_check(samples) -> QIReport:
-    """Fit the tightest (lambda, c) witnessed by the (s, t) samples.
+    """Fit the tightest (lambda, c) witnessed by the (s, t) samples, which
+    must be integer distances (MetricError otherwise).
 
     lambda is the largest two-sided difference ratio |dt|/|ds| (and its
-    reciprocal) over sample pairs; c then covers the residuals on both
-    sides.  Pairs with equal s contribute to c only.  The injective flag
-    is false when a positive domain distance maps to image distance 0.
+    reciprocal) over sample pairs, and at least 1; c then covers the
+    residuals on both sides.  Pairs with equal s or equal t contribute to c
+    only.  The injective flag is false when a positive domain distance maps
+    to image distance 0.
+
+    The fit is exact integer arithmetic on arrays of the sample pairs:
+    lambda = P/Q is the pair with the largest max(ds, dt) / min(ds, dt)
+    under float division, confirmed by p*Q <= P*q on every pair (p/q each
+    pair's ratio) and replaced by the first pair that beats it until none
+    does; c = max(0, max(t*Q - s*P) / Q, max(s*Q - t*P) / P).
     """
-    samples = [(Fraction(s), Fraction(t)) for s, t in samples]
+    samples = list(samples)
     if not samples:
         raise MetricError("empty sample list")
+    if not all(isinstance(v, numbers.Integral) for pair in samples for v in pair):
+        raise MetricError("non-integer distance in samples")
     if any(s < 0 or t < 0 for s, t in samples):
         raise MetricError("negative distance in samples")
-    lam = Fraction(1)
-    for i in range(len(samples)):
-        s1, t1 = samples[i]
-        for j in range(i + 1, len(samples)):
-            s2, t2 = samples[j]
-            ds, dt = abs(s1 - s2), abs(t1 - t2)
-            if ds == 0 or dt == 0:
-                continue
-            lam = max(lam, dt / ds, ds / dt)
-    c = Fraction(0)
-    for s, t in samples:
-        c = max(c, t - lam * s, s / lam - t)
-    injective = all(t > 0 for s, t in samples if s > 0)
-    return QIReport(lam, max(c, Fraction(0)), len(samples), injective)
+    # Products of two distances stay below 2**63 under this bound; beyond
+    # it the same code runs on Python ints.
+    dtype = np.int64 if max(max(pair) for pair in samples) < 2**31 else object
+    s, t = np.array(samples, dtype=dtype).T
+    i, j = np.triu_indices(len(samples), 1)
+    ds, dt = np.abs(s[i] - s[j]), np.abs(t[i] - t[j])
+    both = (ds > 0) & (dt > 0)
+    p, q = np.maximum(ds, dt)[both], np.minimum(ds, dt)[both]
+    P, Q = 1, 1
+    if len(p):
+        k = int(np.argmax(p.astype(float) / q.astype(float)))
+        P, Q = int(p[k]), int(q[k])
+        while (beats := np.flatnonzero(p * Q > P * q)).size:
+            P, Q = int(p[beats[0]]), int(q[beats[0]])
+    c = max(Fraction(0), Fraction(int((t * Q - s * P).max()), Q), Fraction(int((s * Q - t * P).max()), P))
+    injective = bool((t[s > 0] > 0).all())
+    return QIReport(Fraction(P, Q), c, len(samples), injective)

@@ -109,15 +109,14 @@ def tree_transitivity_witness(family, v: TreeVertex, w: TreeVertex) -> GroupPoin
 
 
 def tree_qi_probe(family, count=200, max_len=8, seed=0, unchecked=False):
-    """Compare word length with orbit tree distance on sampled elements."""
+    """Compare word length with orbit tree distance on sampled elements;
+    the word lengths are one identity-row pairwise_word_lengths call."""
     from .metric import qi_embedding_check
-    from .words import sample_points, word_length
+    from .words import identity_point, pairwise_word_lengths, sample_points
 
-    samples = set()
-    for g in sample_points(family, count, max_len=max_len, seed=seed):
-        s = word_length(g, unchecked=unchecked)
-        t = tree_distance(BASEPOINT, tree_act(g, BASEPOINT))
-        samples.add((s, t))
+    points = sample_points(family, count, max_len=max_len, seed=seed)
+    lengths = pairwise_word_lengths([identity_point(family)], points, unchecked=unchecked)[0]
+    samples = {(s, tree_distance(BASEPOINT, tree_act(g, BASEPOINT))) for g, s in zip(points, lengths.tolist())}
     return qi_embedding_check(sorted(samples))
 
 

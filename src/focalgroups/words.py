@@ -322,6 +322,14 @@ def _block_word_lengths(basis, R, row_ms, C, col_ms):
     return best
 
 
+def _identity_row_lengths(family, basis, enc, ms):
+    """d(1, x) for the points x encoded on `basis` as rows enc with
+    exponents ms, as an int64 array: the identity row of
+    _encoded_word_lengths, with no decoding of the points."""
+    one = basis.encode([family.identity()])
+    return _encoded_word_lengths(basis, one, np.zeros(1, dtype=np.int64), enc, ms)[0]
+
+
 def geodesic_witness(x, unchecked=False):
     """A word of length word_length(x) in normal-form shape evaluating to x."""
     _, i, g = _length_scan(x, unchecked)
@@ -546,8 +554,7 @@ def ball_points(family, radius, window=None, sample=None, seed=0, unchecked=Fals
         ms = np.array([x.m for x in drawn], dtype=np.int64)
     basis = family.basis(hs, 1, 0)
     cands = basis.take(basis.encode(hs), h_of)
-    one = basis.encode([family.identity()])
-    lengths = _encoded_word_lengths(basis, one, np.zeros(1, dtype=np.int64), cands, ms)[0]
+    lengths = _identity_row_lengths(family, basis, cands, ms)
     kept = np.flatnonzero(lengths <= radius)
     h_of, ms = h_of[kept].tolist(), ms[kept]
     h_keys = {i: family.canonical_bytes(hs[i]) for i in set(h_of)}
@@ -656,14 +663,14 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
 
     Exhaustive via iterated set products while the closure stays small
     (the lamplighter case, where A.A = A); falls back to seeded random
-    products otherwise.  Each level's lengths come from one identity-row
-    pairwise_word_lengths call.
+    products otherwise.  Every level stays encoded on one basis: its
+    lengths are the identity row over the encoded set, and only the
+    violating elements are decoded.
     """
     if window is None:
         window = family.default_window(6)
     a_window = list(family.iter_A_window(window))
     basis = family.basis(a_window, 2**m_max, 0)
-    one = identity_point(family)
     rng = random.Random(seed)
     violations = []
     checked = 0
@@ -671,30 +678,31 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
 
     # A contains the identity, so the set of <=2^m-fold products is the
     # set of exactly-2^m-fold products; square the set m times.
-    current, exhaustive = a_window, True
+    current, size, exhaustive = basis.encode(a_window), len(a_window), True
     for m in range(1, m_max + 1):
         bound = 2 * family.n0 * m + 1
         if exhaustive:
-            nxt = _square(basis, current, exhaustive_cap)
-            if nxt is None:
+            square = _square(basis, current, size, exhaustive_cap)
+            if square is None:
                 exhaustive = False
                 complete = False
             else:
-                current = nxt
+                current, size = square
         if exhaustive:
-            batch = current
+            batch, n = current, size
         else:
-            batch = []
+            products = []
             for _ in range(samples):
                 h = family.identity()
                 for _ in range(2**m):
                     h = family.multiply(h, rng.choice(a_window))
-                batch.append(h)
-        checked += len(batch)
-        lengths = pairwise_word_lengths([one], [h_point(family, h) for h in batch], unchecked=True)[0]
-        for h, wl in zip(batch, lengths.tolist()):
-            if wl > bound:
-                violations.append({"m": m, "h": family.format_h(h), "length": wl, "bound": bound})
+                products.append(h)
+            batch, n = basis.encode(products), samples
+        checked += n
+        lengths = _identity_row_lengths(family, basis, batch, np.zeros(n, dtype=np.int64))
+        bad = np.flatnonzero(lengths > bound)
+        for h, wl in zip(basis.decode(basis.take(batch, bad)), lengths[bad].tolist()):
+            violations.append({"m": m, "h": family.format_h(h), "length": wl, "bound": bound})
     return DistortionReport(
         family=family.config(),
         window=window.as_dict(),
@@ -705,20 +713,20 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
     )
 
 
-def _square(basis, hs, cap):
-    """The set {a.b : a, b in hs} in first-occurrence order, or None as
-    soon as it has more than cap elements.  Rows of a go in blocks of at
-    most PAIRS_PER_BLOCK products."""
-    enc = basis.encode(hs)
-    step = max(1, PAIRS_PER_BLOCK // len(hs))
-    seen, out = set(), []
-    for lo in range(0, len(hs), step):
-        rows = np.arange(lo, min(lo + step, len(hs)))
+def _square(basis, enc, size, cap):
+    """The set {a.b : a, b in enc} of the `size` encoded elements, in
+    first-occurrence order, as (encoded rows, count); None as soon as it
+    has more than cap elements.  Rows of a go in blocks of at most
+    PAIRS_PER_BLOCK products."""
+    step = max(1, PAIRS_PER_BLOCK // size)
+    seen, parts = set(), []
+    for lo in range(0, size, step):
+        rows = np.arange(lo, min(lo + step, size))
         prods = basis.twisted_products(basis.take(enc, rows), np.zeros(len(rows), dtype=np.int64), enc)
-        out += basis.decode(basis.take(prods, _first_new(basis.row_keys(prods), seen)))
+        parts.append(basis.take(prods, _first_new(basis.row_keys(prods), seen)))
         if len(seen) > cap:
             return None
-    return out
+    return basis.concat(parts), len(seen)
 
 
 # ---------------------------------------------------------------------------

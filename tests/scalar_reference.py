@@ -6,17 +6,19 @@ squaring and the Schottky check replaced, the int64 candidate-argmax
 form of the four-point kernel, ball_points with a GroupPoint per
 candidate and two full pairwise_word_lengths calls, sample_points
 drawing from a list of every windowed A-letter, the batched distances
-to the axis {alpha^k}, and the fixed-point identity behind the lineal /
-focal verdict written in H's own operations; the tests pin the faster
+to the axis {alpha^k}, the fixed-point identity behind the lineal /
+focal verdict written in H's own operations, and the Fraction loop over
+sample pairs behind the embedding constants; the tests pin the faster
 versions' outputs, element order included, against them.
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 
 from focalgroups.families import FamilyError
-from focalgroups.metric import DistanceMatrix, MetricError, qi_embedding_check
+from focalgroups.metric import DistanceMatrix, MetricError, QIReport
 from focalgroups.words import (
     ALPHA,
     ALPHA_INV,
@@ -249,6 +251,30 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
         violations=violations[:10],
         complete=complete,
     )
+
+
+def qi_embedding_check(samples):
+    """metric.qi_embedding_check as a Fraction loop over every pair of
+    samples, taking any rational distances."""
+    samples = [(Fraction(s), Fraction(t)) for s, t in samples]
+    if not samples:
+        raise MetricError("empty sample list")
+    if any(s < 0 or t < 0 for s, t in samples):
+        raise MetricError("negative distance in samples")
+    lam = Fraction(1)
+    for i in range(len(samples)):
+        s1, t1 = samples[i]
+        for j in range(i + 1, len(samples)):
+            s2, t2 = samples[j]
+            ds, dt = abs(s1 - s2), abs(t1 - t2)
+            if ds == 0 or dt == 0:
+                continue
+            lam = max(lam, dt / ds, ds / dt)
+    c = Fraction(0)
+    for s, t in samples:
+        c = max(c, t - lam * s, s / lam - t)
+    injective = all(t > 0 for s, t in samples if s > 0)
+    return QIReport(lam, max(c, Fraction(0)), len(samples), injective)
 
 
 def schottky(a, b, L, unchecked=False):

@@ -1,8 +1,10 @@
 import argparse
 import json
+from unittest import mock
 
 import pytest
 
+from focalgroups import boundary
 from focalgroups.cli import _delta_verdict, build_parser, main
 from focalgroups.families import LamplighterFamily
 from focalgroups.metric import graph_distance_matrix
@@ -293,6 +295,27 @@ class TestReport:
         # the fixed point of a+.
         assert payload["action"]["witnesses"] == {"fixed_point_of": "({}, 1)", "moves_it": "({2:1}, 0)"}
         assert payload["action"]["type"] == "focal" and payload["action"]["exact"]
+
+    @pytest.mark.parametrize(
+        "argv, witnesses",
+        [
+            (("lamplighter:2", "--radius", "3"), {"fixed_point_of": "({}, 1)", "moves_it": "({2:1}, 0)"}),
+            (("nadic:2", "--radius", "2", "--horizon", "6"), {"fixed_point_of": "({0}, 1)", "moves_it": "({-1}, 0)"}),
+            (
+                ("product(lamplighter:2,nadic:2)", "--radius", "2", "--horizon", "4"),
+                {"fixed_point_of": "(({}|{0}), 1)", "moves_it": "(({}|{-1}), 0)"},
+            ),
+        ],
+    )
+    def test_classifies_alpha_and_one_letter(self, capsys, argv, witnesses):
+        # <alpha, a> for the first windowed A-letter a other than the
+        # identity, which leads the window only in lamplighter order.
+        with mock.patch.object(boundary, "action_type", wraps=boundary.action_type) as spy:
+            code, out, _ = run(capsys, "report", "--family", *argv)
+        assert code == 0
+        assert [repr(g) for g in spy.call_args.args[0]] == [witnesses["fixed_point_of"], witnesses["moves_it"]]
+        action = json.loads(out)["action"]
+        assert action["type"] == "focal" and action["witnesses"] == witnesses
 
     def test_focal_at_every_horizon(self, capsys):
         # The axis-distance test called this report lineal at horizon 4.

@@ -26,7 +26,7 @@ from focalgroups.families import (
     ProductWindow,
     SpoofIdentityFamily,
 )
-from focalgroups import words
+from focalgroups import boundary, words
 from focalgroups.words import (
     GroupPoint,
     Products,
@@ -313,6 +313,17 @@ class TestSchottky:
         report, injective, count, collision = ref.schottky(a, b, L)
         want = dict(report, injective=injective, words_checked=count, collision=list(collision) if collision else None)
         assert schottky_semigroup_check(a, b, L=L).as_dict() == want
+
+    @pytest.mark.parametrize("name", sorted(SCHOTTKY))
+    def test_levels_stay_encoded(self, name, monkeypatch):
+        # Each level's lengths come from its encoded rows: neither a decode
+        # nor a fresh pairwise_word_lengths basis.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Schottky level left the encoding")
+
+        monkeypatch.setattr(words.Products, "decode", refuse)
+        monkeypatch.setattr(boundary, "pairwise_word_lengths", refuse)
+        self.test_matches_scalar_loop(name)
 
     def test_spoof_needs_unchecked(self):
         a, b = alpha_point(SPOOF, 1), alpha_point(SPOOF, 1) * h_point(SPOOF, SPOOF.lamp(0))

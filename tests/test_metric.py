@@ -388,3 +388,27 @@ class TestQIEmbedding:
     def test_empty_samples_rejected(self):
         with pytest.raises(MetricError):
             qi_embedding_check([])
+
+    @pytest.mark.parametrize("samples", [[(1, Fraction(1, 2))], [(1.0, 2)], [(0, 0), (2, "3")]])
+    def test_non_integer_samples_rejected(self, samples):
+        with pytest.raises(MetricError):
+            qi_embedding_check(samples)
+
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=1, max_size=40))
+    @example([(4, 7)])  # a single sample
+    @example([(3, 0), (3, 5), (3, 2)])  # equal s only
+    @example([(0, 0), (2, 0), (5, 0)])  # t = 0 throughout
+    @example([(1, 0), (4, 0), (4, 3), (9, 3)])  # equal s and equal t pairs
+    @example([(0, 0), (2**40, 3), (5, 2**35)])  # past the int64 product bound
+    # Ratios (2^31 - 1)/(2^31 - 2) < (2^31 - 2)/(2^31 - 3) round to one float.
+    @example([(0, 0), (2**31 - 2, 2**31 - 1), (2**31 - 3, 2**31 - 2)])
+    @example([(0, 0), (2**60, 2**60), (2**61 + 1, 2**61)])
+    def test_integer_fit_matches_fraction_loop(self, samples):
+        got, want = qi_embedding_check(samples), ref.qi_embedding_check(samples)
+        assert type(got.multiplicative_constant) is type(got.additive_constant) is Fraction
+        assert (got.multiplicative_constant, got.additive_constant, got.samples, got.injective) == (
+            want.multiplicative_constant,
+            want.additive_constant,
+            want.samples,
+            want.injective,
+        )

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+import scalar_reference as ref
 
-from focalgroups.families import LamplighterFamily, NadicFamily
+from focalgroups.families import LamplighterFamily, NadicFamily, SpoofIdentityFamily
 from focalgroups.metric import four_point_delta
 from focalgroups.trees import (
     BASEPOINT,
@@ -19,7 +20,7 @@ from focalgroups.trees import (
     tree_transitivity_witness,
     vertex_level,
 )
-from focalgroups.words import alpha_point, h_point, sample_points
+from focalgroups.words import UnvalidatedFamilyError, alpha_point, h_point, sample_points, word_length
 
 L2 = LamplighterFamily(2)
 L3 = LamplighterFamily(3)
@@ -130,6 +131,18 @@ class TestQiProbe:
         assert r8.multiplicative_constant <= 3
         assert r8.additive_constant <= 4
         assert r8.multiplicative_constant >= r4.multiplicative_constant
+
+    @pytest.mark.parametrize("family, count, max_len, seed", [(L2, 200, 8, 0), (L2, 120, 4, 5), (L3, 100, 4, 0)])
+    def test_matches_scalar_word_lengths(self, family, count, max_len, seed):
+        samples = {
+            (word_length(g), tree_distance(BASEPOINT, tree_act(g, BASEPOINT)))
+            for g in sample_points(family, count, max_len=max_len, seed=seed)
+        }
+        assert tree_qi_probe(family, count=count, max_len=max_len, seed=seed) == ref.qi_embedding_check(sorted(samples))
+
+    def test_unvalidated_family_refused(self):
+        with pytest.raises(UnvalidatedFamilyError):
+            tree_qi_probe(SpoofIdentityFamily(2), count=10, max_len=4)
 
 
 class TestRegularTreeBall:
