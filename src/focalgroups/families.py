@@ -1003,9 +1003,28 @@ def verify_confining(family, window=None, exhaust_depth=8, max_elements=100000):
     """Check the three confining axioms on a windowed sample.
 
     (a) alpha(A) inside A, with a strictness witness a in A \\ alpha(A);
-    (b) every windowed h has alpha^m(h) in A for some m <= exhaust_depth;
+    (b) every windowed h has alpha^m(h) in A for some 0 <= m <= exhaust_depth;
     (c) alpha^n0(a.a') in A for all windowed pairs a, a' in A.
+
+    Each axiom runs as array steps of the pair kernel on one basis over
+    the window, its A-letters and their inverses; g lies in A exactly
+    when a_length(g) <= 1.  (a) is lengths(1) on the identity row over
+    the A-letters, and the witness is the first letter a with lengths(0)
+    > 1 at row exponent 1, where the kernel's g is alpha^-1(a).  (b) is
+    settle <= exhaust_depth on the identity row over the window: settle
+    is the least k with alpha^k(h) in A, and alpha(A) inside A keeps
+    membership from there on (word_length's scan rests on the same).  (c) takes the inverted A-letters as rows and the A-letters as
+    columns, so pair (i, j) is a_i a_j, and tests lengths(n0) in row
+    blocks of PAIRS_PER_BLOCK pairs.
+
+    At most max_elements A-letters, window elements and pairs (the first,
+    in row-major order) are checked.  Failures are listed in that order,
+    at most six a list; the (a) entry counts toward the six of
+    absorption_failures.  A check stops at its sixth failure, and
+    `complete` is False when a check reached its max_elements cut first.
     """
+    from .words import PAIRS_PER_BLOCK  # words imports this module
+
     if window is None:
         window = family.default_window(6)
     report = ConfiningReport(
@@ -1017,53 +1036,63 @@ def verify_confining(family, window=None, exhaust_depth=8, max_elements=100000):
         absorbed=True,
     )
 
-    a_window = list(family.iter_A_window(window))
+    a_window = list(itertools.islice(family.iter_A_window(window), max_elements + 1))
     if len(a_window) > max_elements:
-        a_window = a_window[:max_elements]
+        del a_window[max_elements:]
+        report.complete = False
+    elements = list(itertools.islice(family.iter_window(window), max_elements + 1))
+    elements_cut = len(elements) > max_elements
+    del elements[max_elements:]
+    inverses = [family.invert(a) for a in a_window]
+    # Room for the pair sums of (c) and for alpha^{+-1}.
+    basis = family.basis(elements + a_window + inverses, 2, 1)
+    one, zero = basis.encode([family.identity()]), np.zeros(1, dtype=np.int64)
+
+    def outside_A(R, row_ms, C, n_cols, k):
+        # Row-major indices of the pairs with alpha^k(g_ij) outside A.
+        _, lengths = basis.pair_a_lengths(R, row_ms, C)
+        return np.flatnonzero(lengths(np.full((len(row_ms), n_cols), k, dtype=np.int64)) > 1)
+
+    n = len(a_window)
+    if n:
+        A = basis.encode(a_window)
+        outside = outside_A(one, zero, A, n, 1)
+        if outside.size:
+            report.alpha_into_A = False
+            report.absorption_failures.append({"axiom": "alpha(A) in A", "witness": family.format_h(a_window[outside[0]])})
+        outside = outside_A(one, np.ones(1, dtype=np.int64), A, n, 0)
+        if outside.size:
+            report.strict_witness = family.format_h(a_window[outside[0]])
+
+    if elements:
+        settle, _ = basis.pair_a_lengths(one, zero, basis.encode(elements))
+        unabsorbed = np.flatnonzero(settle[0] > exhaust_depth) if exhaust_depth >= 0 else range(len(elements))
+        room = 6 - len(report.absorption_failures)
+        for i in unabsorbed[:room]:
+            report.absorbed = False
+            report.absorption_failures.append({"axiom": "union of alpha^-n(A) = H", "witness": family.format_h(elements[i])})
+        # The scalar walk stopped at its sixth failure before the cut.
+        elements_cut = elements_cut and len(unabsorbed) < room
+    if elements_cut:
         report.complete = False
 
-    for a in a_window:
-        if not family.in_A(family.alpha(a)):
-            report.alpha_into_A = False
-            report.absorption_failures.append({"axiom": "alpha(A) in A", "witness": family.format_h(a)})
-            break
-    for a in a_window:
-        # a is outside alpha(A) iff alpha^-1(a) is not in A.
-        if not family.in_A(family.alpha_inv(a)):
-            report.strict_witness = family.format_h(a)
-            break
-
-    count = 0
-    for h in family.iter_window(window):
-        count += 1
-        if count > max_elements:
+    if n:
+        inv = basis.encode(inverses)
+        pairs = min(n * n, max_elements)
+        rows = -(-pairs // n)
+        step = max(1, PAIRS_PER_BLOCK // n)
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            bad = outside_A(basis.take(inv, slice(lo, hi)), np.zeros(hi - lo, dtype=np.int64), A, n, family.n0) + lo * n
+            for i, j in (divmod(int(k), n) for k in bad[bad < pairs]):
+                a, b = a_window[i], a_window[j]
+                prod = family.alpha_pow(family.multiply(a, b), family.n0)
+                report.product_absorbed = False
+                report.product_failures.append({"a": family.format_h(a), "b": family.format_h(b), "image": family.format_h(prod)})
+                if len(report.product_failures) > 5:
+                    return report
+        if n * n > max_elements:
             report.complete = False
-            break
-        g, ok = h, False
-        for _ in range(exhaust_depth + 1):
-            if family.in_A(g):
-                ok = True
-                break
-            g = family.alpha(g)
-        if not ok:
-            report.absorbed = False
-            report.absorption_failures.append({"axiom": "union of alpha^-n(A) = H", "witness": family.format_h(h)})
-            if len(report.absorption_failures) > 5:
-                break
-
-    pairs = itertools.product(a_window, a_window)
-    for k, (a, b) in enumerate(pairs):
-        if k >= max_elements:
-            report.complete = False
-            break
-        prod = family.alpha_pow(family.multiply(a, b), family.n0)
-        if not family.in_A(prod):
-            report.product_absorbed = False
-            report.product_failures.append(
-                {"a": family.format_h(a), "b": family.format_h(b), "image": family.format_h(prod)}
-            )
-            if len(report.product_failures) > 5:
-                break
     return report
 
 

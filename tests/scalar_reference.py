@@ -7,17 +7,19 @@ form of the four-point kernel, ball_points with a GroupPoint per
 candidate and two full pairwise_word_lengths calls, sample_points
 drawing from a list of every windowed A-letter, the batched distances
 to the axis {alpha^k}, the fixed-point identity behind the lineal /
-focal verdict written in H's own operations, and the Fraction loop over
-sample pairs behind the embedding constants; the tests pin the faster
-versions' outputs, element order included, against them.
+focal verdict written in H's own operations, the Fraction loop over
+sample pairs behind the embedding constants, and the multiply /
+alpha_pow / in_A loop over the confining axioms; the tests pin the
+faster versions' outputs, element order included, against them.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from focalgroups.families import FamilyError
+from focalgroups.families import ConfiningReport, FamilyError
 from focalgroups.metric import DistanceMatrix, MetricError, QIReport
 from focalgroups.words import (
     ALPHA,
@@ -359,3 +361,67 @@ def lineal_or_focal(generators):
     fixed point."""
     g0 = next(g for g in generators if g.m != 0)
     return "lineal" if all(fixes_fixed_point(g0, g) for g in generators) else "focal"
+
+
+def verify_confining(family, window=None, exhaust_depth=8, max_elements=100000):
+    """families.verify_confining as one family.in_A test per element and
+    per pair, walking alpha for axiom (b)."""
+    if window is None:
+        window = family.default_window(6)
+    report = ConfiningReport(
+        family=family.config(),
+        window=window.as_dict(),
+        exhaust_depth=exhaust_depth,
+        alpha_into_A=True,
+        strict_witness=None,
+        absorbed=True,
+    )
+
+    a_window = list(itertools.islice(family.iter_A_window(window), max_elements + 1))
+    if len(a_window) > max_elements:
+        a_window = a_window[:max_elements]
+        report.complete = False
+
+    for a in a_window:
+        if not family.in_A(family.alpha(a)):
+            report.alpha_into_A = False
+            report.absorption_failures.append({"axiom": "alpha(A) in A", "witness": family.format_h(a)})
+            break
+    for a in a_window:
+        # a is outside alpha(A) iff alpha^-1(a) is not in A.
+        if not family.in_A(family.alpha_inv(a)):
+            report.strict_witness = family.format_h(a)
+            break
+
+    count = 0
+    for h in family.iter_window(window):
+        count += 1
+        if count > max_elements:
+            report.complete = False
+            break
+        g, ok = h, False
+        for _ in range(exhaust_depth + 1):
+            if family.in_A(g):
+                ok = True
+                break
+            g = family.alpha(g)
+        if not ok:
+            report.absorbed = False
+            report.absorption_failures.append({"axiom": "union of alpha^-n(A) = H", "witness": family.format_h(h)})
+            if len(report.absorption_failures) > 5:
+                break
+
+    pairs = itertools.product(a_window, a_window)
+    for k, (a, b) in enumerate(pairs):
+        if k >= max_elements:
+            report.complete = False
+            break
+        prod = family.alpha_pow(family.multiply(a, b), family.n0)
+        if not family.in_A(prod):
+            report.product_absorbed = False
+            report.product_failures.append(
+                {"a": family.format_h(a), "b": family.format_h(b), "image": family.format_h(prod)}
+            )
+            if len(report.product_failures) > 5:
+                break
+    return report

@@ -1,12 +1,17 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scalar_reference as ref
 from hypothesis import given
 from hypothesis import strategies as st
 
+from focalgroups import words
 from focalgroups.families import (
+    ARRAY_INF,
     INF,
     FamilyError,
     LamplighterFamily,
@@ -121,9 +126,11 @@ class TestConfining:
         assert not N2.in_A(Fraction(2))
 
     def test_product_passes(self):
-        # The default window (radius 6, 83,072 elements) is above the product
-        # cap, so the cap is raised to check it whole.
-        assert verify_confining(PROD, dataclasses.replace(PROD.default_window(6), cap=100_000)).passed
+        # The radius-4 window (10,400 elements, under the product cap) has
+        # 1,304 A-letters, so 1,700,416 pairs; max_elements covers all of
+        # them, and the report is complete.
+        report = verify_confining(PROD, PROD.default_window(4), max_elements=2_000_000)
+        assert report.passed and report.complete
 
     def test_identity_alpha_fails(self):
         report = verify_confining(SpoofIdentityFamily(2))
@@ -133,6 +140,146 @@ class TestConfining:
     def test_report_dict_has_scope(self):
         d = verify_confining(L2).as_dict()
         assert {"family", "window", "exhaust_depth", "passed"} <= set(d)
+
+
+class ShortNadic(NadicFamily):
+    """Z[1/n] with n0 = 0: A.A = [-2, 2] leaves A, so axiom (c) fails on
+    the family's own basis."""
+
+    n0 = 0
+
+
+class ExpandingNadic(NadicFamily):
+    """alpha(x) = n x: A is not mapped into itself and no element outside A
+    is pulled in, so axioms (a)-(c) all fail.  Its kernel is ScalarBasis."""
+
+    a_length_validated = False
+
+    def alpha(self, h):
+        return h * self.n
+
+    def alpha_inv(self, h):
+        return h / self.n
+
+    def alpha_pow(self, h, k):
+        return h * Fraction(self.n) ** k
+
+    def basis(self, hs, factors, shift):
+        return ScalarBasis(self)
+
+
+class ScalarBasis:
+    """The pair kernel in a family's own operations, one pair at a time.
+
+    settle is the least k >= 0 with alpha^k(g) in A (ARRAY_INF when k <= 64
+    has none): the exponents axiom (b) asks about, whether or not
+    membership stays once reached."""
+
+    def __init__(self, family):
+        self.family = family
+
+    def encode(self, hs):
+        return list(hs)
+
+    def take(self, enc, rows):
+        return enc[rows]
+
+    def pair_a_lengths(self, R, row_ms, C):
+        f = self.family
+        g = [[f.alpha_pow(f.multiply(f.invert(r), c), -int(m)) for c in C] for r, m in zip(R, row_ms)]
+
+        def length(h, k):
+            la = f.a_length(f.alpha_pow(h, k))
+            return ARRAY_INF if la == INF else la
+
+        def settle(h):
+            return next((k for k in range(65) if length(h, k) <= 1), ARRAY_INF)
+
+        def lengths(k):
+            return np.array([[length(h, int(kk)) for h, kk in zip(row, ks)] for row, ks in zip(g, k)], dtype=np.int64)
+
+        return np.array([[settle(h) for h in row] for row in g], dtype=np.int64), lengths
+
+
+CONFINING_FAMILIES = {
+    "lamplighter:2": L2,
+    "lamplighter:3": L3,
+    "nadic:2": N2,
+    "nadic:3": N3,
+    "product(lamplighter:2,nadic:2)": ProductFamily(L2, N2),
+    "spoof-identity:2": SpoofIdentityFamily(2),
+}
+
+
+def confining_cases():
+    for (spec, family), radius in itertools.product(CONFINING_FAMILIES.items(), (4, 6)):
+        window = family.default_window(radius)
+        # A negative depth (verify --horizon -1) absorbs nothing, not even 1.
+        depths_and_caps = [(8, 100000), (0, 5), (1, 40), (2, 5), (8, 40), (-1, 40)]
+        if not spec.startswith("product"):
+            # The product's scalar loop takes seconds at the full cap.
+            depths_and_caps += [(0, 100000), (1, 100000), (2, 100000)]
+        for depth, cap in depths_and_caps:
+            yield pytest.param(family, window, depth, cap, id=f"{spec}-r{radius}-d{depth}-cap{cap}")
+    # dpow 6 is above every default window's.
+    for depth, cap in [(0, 100000), (2, 100000), (8, 40)]:
+        yield pytest.param(N2, NadicWindow(2, 6, 6), depth, cap, id=f"nadic:2-dpow6-d{depth}-cap{cap}")
+    # Numerators over 10^17 take the object-dtype basis.
+    yield pytest.param(NadicFamily(10), NadicWindow(2, 17, 6), 8, 40, id="nadic:10-dpow17-cap40")
+
+
+class TestConfiningArrays:
+    @pytest.mark.parametrize("family, window, depth, cap", confining_cases())
+    def test_matches_scalar_loop(self, family, window, depth, cap):
+        got = verify_confining(family, window, exhaust_depth=depth, max_elements=cap)
+        assert got.as_dict() == ref.verify_confining(family, window, depth, cap).as_dict()
+
+    @pytest.mark.parametrize("block", [1, 7, 20, words.PAIRS_PER_BLOCK])
+    @pytest.mark.parametrize("cap", [3, 8, 10, 11, 12, 40, 100])
+    def test_product_failures_across_row_blocks(self, block, cap, monkeypatch):
+        # 9 A-letters, 81 pairs; the sixth failure is pair 10, and caps
+        # around it cut a row or stop first.
+        monkeypatch.setattr(words, "PAIRS_PER_BLOCK", block)
+        family, window = ShortNadic(2), NadicWindow(2, 2, 6)
+        got = verify_confining(family, window, max_elements=cap)
+        want = ref.verify_confining(family, window, max_elements=cap)
+        assert got.as_dict() == want.as_dict()
+        assert not got.product_absorbed and len(got.product_failures) == {3: 3, 8: 4, 10: 5}.get(cap, 6)
+
+    @pytest.mark.parametrize("depth", [0, 1, 8])
+    @pytest.mark.parametrize("cap", [5, 12, 40, 100000])
+    def test_every_axiom_failing(self, depth, cap):
+        # alpha(A) leaves A, which takes one of absorption_failures' six
+        # entries, and the window's elements outside A are never absorbed.
+        family, window = ExpandingNadic(2), NadicWindow(2, 2, 6)
+        got = verify_confining(family, window, exhaust_depth=depth, max_elements=cap)
+        assert got.as_dict() == ref.verify_confining(family, window, depth, cap).as_dict()
+        assert not (got.alpha_into_A or got.absorbed or got.product_absorbed)
+        assert got.strict_witness is None
+        assert got.absorption_failures[0]["axiom"] == "alpha(A) in A"
+
+    def test_spoof_stops_at_sixth_failure_before_the_cut(self):
+        # 32 elements, 4 A-letters: the walk stops at its sixth failure
+        # (element 9) before the cut at 20, so the report stays complete.
+        family, window = SpoofIdentityFamily(2), LamplighterWindow(-3, 1, 6)
+        got = verify_confining(family, window, max_elements=20)
+        assert got.as_dict() == ref.verify_confining(family, window, max_elements=20).as_dict()
+        assert got.complete and len(got.absorption_failures) == 6
+
+    def test_a_window_drawn_up_to_the_cap(self, monkeypatch):
+        # lamplighter:30's default A-window has 810,000 letters.
+        family, drawn = LamplighterFamily(30), []
+
+        def counted(window):
+            for a in LamplighterFamily.iter_A_window(family, window):
+                drawn.append(a)
+                yield a
+
+        want = ref.verify_confining(family, max_elements=1000).as_dict()
+        monkeypatch.setattr(family, "iter_A_window", counted)
+        report = verify_confining(family, max_elements=1000)
+        assert len(drawn) == 1001
+        assert report.as_dict() == want and not report.complete
 
 
 class TestALengthOracle:

@@ -11,7 +11,7 @@ import pytest
 import scalar_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_words import H_STRATEGIES, lamp_configs
+from test_words import H_STRATEGIES, lamp_configs, point_lists
 
 from focalgroups.boundary import _subgroup_closure, axis_distance, schottky_semigroup_check
 from focalgroups.families import (
@@ -360,3 +360,23 @@ class TestPairKernel:
                 g = family.alpha_pow(family.multiply(family.invert(x.h), y.h), -x.m)
                 want = family.a_length(family.alpha_pow(g, int(k[i, j])))
                 assert got[i, j] == (ARRAY_INF if want == INF else want)
+
+    @pytest.mark.parametrize("spec", sorted(H_STRATEGIES))
+    @given(data=st.data())
+    def test_membership_is_length_at_most_one(self, spec, data):
+        # What verify_confining reads off the kernel: alpha^k(g) in A iff
+        # lengths(k) <= 1, and settle <= d iff alpha^m(g) in A for some
+        # 0 <= m <= d.
+        family, hs = H_STRATEGIES[spec]
+        rows = data.draw(point_lists(family, hs), label="rows")
+        cols = data.draw(st.lists(hs, min_size=1, max_size=8), label="cols")
+        basis = family.basis([x.h for x in rows] + cols, 2, 1)
+        R, C = basis.encode([x.h for x in rows]), basis.encode(cols)
+        settle, lengths = basis.pair_a_lengths(R, np.array([x.m for x in rows], dtype=np.int64), C)
+        inside = [lengths(np.full(settle.shape, k, dtype=np.int64)) <= 1 for k in range(3)]
+        for i, x in enumerate(rows):
+            for j, h in enumerate(cols):
+                g = family.alpha_pow(family.multiply(family.invert(x.h), h), -x.m)
+                walk = [family.in_A(family.alpha_pow(g, m)) for m in range(9)]
+                assert [bool(inside[k][i, j]) for k in range(3)] == walk[:3]
+                assert [bool(settle[i, j] <= d) for d in range(9)] == [any(walk[: d + 1]) for d in range(9)]
