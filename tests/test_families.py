@@ -153,8 +153,6 @@ class ExpandingNadic(NadicFamily):
     """alpha(x) = n x: A is not mapped into itself and no element outside A
     is pulled in, so axioms (a)-(c) all fail.  Its kernel is ScalarBasis."""
 
-    a_length_validated = False
-
     def alpha(self, h):
         return h * self.n
 
