@@ -177,8 +177,10 @@ def busemann_quasicharacter(g, N=16, unchecked=False):
     registered families the value is exactly m(g) (beta(alpha) = 1 and
     beta vanishes on H), and the defect bound is 0; the plain increment
     h(1, g) is reported alongside, staying within a bounded distance of
-    the value.
+    the value.  N must be at least 1 (ValueError otherwise).
     """
+    if N < 1:
+        raise ValueError(f"horizon N = {N} < 1")
     family = g.family
     one = identity_point(family)
     increment = horokernel(one, g, unchecked=unchecked)

@@ -367,6 +367,14 @@ def cmd_report(args):
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text):
+    """An integer >= 1, as an argparse type."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value}: must be >= 1")
+    return value
+
+
 # Every option a subcommand can declare: flag name -> add_argument keywords.
 # Each subcommand declares only the flags its handler reads, plus --out.
 OPTIONS = {
@@ -376,7 +384,7 @@ OPTIONS = {
         default=None,
         help="family window, e.g. '-3,3' (lamplighter), '4,4' (nadic) or '-1,1;1,1' (product), with an optional last part for levels",
     ),
-    "horizon": dict(type=int, default=8),
+    "horizon": dict(type=positive_int, default=8),
     "seed": dict(type=int, default=0),
     "format": dict(choices=["json", "csv", "dot"], default="json"),
     "samples": dict(type=int, default=None, help="sample this many ball points instead of exhausting the window"),

@@ -191,9 +191,12 @@ class LamplighterBasis:
     H-elements, take rows, concatenate encodings, hashable row keys (equal
     exactly when the elements are), a window mask, and
     twisted_products(X, ms, S), whose row r * len(S) + c encodes
-    h_r . alpha^ms[r](s_c).  With twisted False, alpha is the identity and
-    ms is ignored.  Digits are uint8 while a sum of two stays below 256,
-    so a row costs a byte a position.
+    h_r . alpha^ms[r](s_c), and twisted_sums(S, ts, word, count), whose
+    row w encodes the sum of alpha^ts[r](s_r) over the rows r with
+    word[r] = w (the identity for a w with none), for w < count.  With
+    twisted False, alpha is the identity and ms and ts are ignored.
+    Digits are uint8 while a sum of two stays below 256, so a row costs a
+    byte a position.
 
     Every basis also runs the pair word-length kernel: pair_a_lengths(R,
     row_ms, C) gives a_length on the grid of pair quotients g_ij =
@@ -241,7 +244,22 @@ class LamplighterBasis:
         return ~enc[:, outside].any(axis=1)
 
     def twisted_products(self, X, ms, S):
-        shift = ms if self.twisted else np.zeros_like(ms)
+        padded, cols = self._twist(S, ms)
+        out = X[:, None, :] + padded[:, cols].transpose(1, 0, 2)
+        out %= self.q
+        return out.reshape(-1, self.width)
+
+    def twisted_sums(self, S, ts, word, count):
+        padded, cols = self._twist(S, ts)
+        out = np.zeros((count, self.width), dtype=np.int64)
+        np.add.at(out, word, padded[np.arange(len(S))[:, None], cols])
+        out %= self.q
+        return out.astype(self.dtype)
+
+    def _twist(self, S, shift):
+        """(S with a zero column appended, cols): row r of alpha^shift[r](s)
+        reads padded S at columns cols[r], for any row s of S."""
+        shift = shift if self.twisted else np.zeros_like(shift)
         occupied = np.flatnonzero(S.any(axis=0))
         if occupied.size and len(shift) and (occupied[0] + shift.min() < 0 or occupied[-1] + shift.max() >= self.width):
             raise FamilyError("twisted lamps leave the basis")
@@ -249,10 +267,7 @@ class LamplighterBasis:
         # column `width` of the padded S is zero.
         cols = np.arange(self.width)[None, :] - shift[:, None]
         cols[(cols < 0) | (cols >= self.width)] = self.width
-        padded = np.concatenate([S, np.zeros((len(S), 1), dtype=self.dtype)], axis=1)
-        out = X[:, None, :] + padded[:, cols].transpose(1, 0, 2)
-        out %= self.q
-        return out.reshape(-1, self.width)
+        return np.concatenate([S, np.zeros((len(S), 1), dtype=self.dtype)], axis=1), cols
 
     def pair_a_lengths(self, R, row_ms, C):
         # The lamps of h_i^-1 h_j sit where the digits of h_i and h_j differ;
@@ -312,16 +327,27 @@ class NadicBasis:
 
     def twisted_products(self, X, ms, S):
         # alpha^m(s) = s / n^m: multiply by n^-m, or divide exactly by n^m.
-        if len(ms) and max(-int(ms.min()), int(ms.max())) >= len(self.powers):
-            raise FamilyError("twist outside the basis")
+        up, down = self._twist(ms)
         if len(ms) and (S % self.powers[max(0, int(ms.max()))] != 0).any():
             raise FamilyError("generator numerators not divisible by the twist")
-        up = self.powers[np.maximum(-ms, 0)][:, None]
-        down = self.powers[np.maximum(ms, 0)][:, None]
-        out = S[None, :] * up
-        out //= down
+        out = S[None, :] * up[:, None]
+        out //= down[:, None]
         out += X[:, None]
         return out.ravel()
+
+    def twisted_sums(self, S, ts, word, count):
+        up, down = self._twist(ts)
+        if (S % down != 0).any():
+            raise FamilyError("letter numerators not divisible by the twist")
+        out = np.zeros(count, dtype=self.dtype)
+        np.add.at(out, word, S * up // down)
+        return out
+
+    def _twist(self, ms):
+        """(n^max(-m, 0), n^max(m, 0)) for each m: alpha^m(s) = s * up // down."""
+        if len(ms) and max(-int(ms.min()), int(ms.max())) >= len(self.powers):
+            raise FamilyError("twist outside the basis")
+        return self.powers[np.maximum(-ms, 0)], self.powers[np.maximum(ms, 0)]
 
     def pair_a_lengths(self, R, row_ms, C):
         # With a_ij = |N_j - N_i| (below 2^63 in an int64 basis),
@@ -385,6 +411,9 @@ class ProductBasis:
 
     def twisted_products(self, X, ms, S):
         return (self.left.twisted_products(X[0], ms, S[0]), self.right.twisted_products(X[1], ms, S[1]))
+
+    def twisted_sums(self, S, ts, word, count):
+        return (self.left.twisted_sums(S[0], ts, word, count), self.right.twisted_sums(S[1], ts, word, count))
 
     def pair_a_lengths(self, R, row_ms, C):
         # a_length is the max of the component lengths, so it is <= 1 from

@@ -204,41 +204,54 @@ def _defect2_at(d, xs):
 
     The (max,min) product of g with itself is at least v exactly where the
     boolean product of (g >= v) with itself is nonzero, so each distinct
-    value v of g costs one float32 matmul per basepoint (exact: it counts
-    0/1 products and n < 2**24), and the defect is the largest v - g[y,z]
-    over the pairs it reaches (Fournier, Ismail and Vigneron, Inform.
-    Process. Lett. 2015).  The levels run from the top: g[y,w] <=
-    2 min(d(x,y), d(x,w)), so level v only involves the points with
-    2 d(x,.) >= v, a prefix once each basepoint's points are sorted
-    farthest first; and no level v can raise a defect above v - min g, so
-    the scan stops when that no longer beats the least defect found.
+    value v of g costs one float32 matmul (exact: it counts 0/1 products
+    and n < 2**24), and the defect is the largest v - g[y,z] over the
+    pairs it reaches (Fournier, Ismail and Vigneron, Inform. Process.
+    Lett. 2015).  On a metric 0 <= g <= 2 max d, so the distinct values
+    are read from a presence mask over that range.  The levels run from
+    the top: g[y,w] <= 2 min(d(x,y), d(x,w)), so level v only involves the
+    points with 2 d(x,.) >= v, a prefix once each basepoint's points are
+    sorted farthest first; and no level v can raise a defect above v -
+    min g.  So a level batches only its live basepoints, those with at
+    least two points in their prefix (with one, only (y, y) is reached,
+    and g[y,y] >= v cannot beat) and with v - min g above their defect,
+    up to the longest of their prefixes; the scan stops when v - min g no
+    longer beats the least defect found.
 
     g is held in the smallest signed integer type that holds 2 max d, and
-    a level only looks for its best pair at the basepoints where some
+    a level only looks for its best pair at the live basepoints where some
     reached pair beats the defect found so far; there the pair is the
     first (y, z) in row-major order of least g[y,z] among those reached.
     """
     xs = np.asarray(xs, dtype=np.intp)
-    d = d.astype(np.min_scalar_type(-1 - 2 * int(d.max())))
+    top = 2 * int(d.max())
+    d = d.astype(np.min_scalar_type(-1 - top))
     order = np.argsort(-d[xs], axis=1, kind="stable")
     dx = np.take_along_axis(d[xs], order, axis=1)
     g = dx[:, :, None] + dx[:, None, :] - np.stack([d[o][:, o] for o in order])
-    levels = np.unique(g)[::-1]
-    prefix = (2 * dx[:, :, None] >= levels).sum(axis=1).max(axis=0)
+    present = np.zeros(top + 1, dtype=bool)
+    present[g.ravel()] = True
+    levels = np.flatnonzero(present)[::-1]
+    prefix = (2 * dx[:, :, None] >= levels).sum(axis=1)
     gmin, rows = int(levels[-1]), np.arange(len(xs))
     best = np.zeros(len(xs), dtype=np.int64)
     y = np.zeros(len(xs), dtype=np.intp)
     z = np.zeros(len(xs), dtype=np.intp)
-    for v, k in zip(levels.tolist(), prefix.tolist()):
+    for v, ks in zip(levels.tolist(), prefix.T):
         if v - gmin <= best.min():
             break
-        gk = g[:, :k, :k]
+        live = np.flatnonzero((ks >= 2) & (v - gmin > best))
+        if not live.size:
+            continue
+        k = int(ks[live].max())
+        gk = g[live, :k, :k]
         b = (gk >= v).astype(np.float32)
         reached = np.matmul(b, b) > 0
-        beats = reached & (gk < (v - best).astype(g.dtype)[:, None, None])
+        beats = reached & (gk < (v - best[live]).astype(g.dtype)[:, None, None])
         i = np.flatnonzero(beats.any(axis=(1, 2)))
         low = np.where(reached[i], gk[i], v).reshape(len(i), k * k)
         at = low.argmin(axis=1)
+        i = live[i]
         best[i] = v - low[np.arange(len(i)), at]
         y[i], z[i] = np.divmod(at, k)
     return best, np.stack([order[rows, y], order[rows, z]], axis=1)

@@ -14,6 +14,9 @@ import io
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
+
+import numpy as np
 
 from .metric import DistanceMatrix, graph_distance_matrix
 from .words import GroupPoint
@@ -23,27 +26,36 @@ class TreeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TreeVertex:
-    n: int
-    c: tuple  # sorted ((position, value), ...), positions >= n, values nonzero
+class TreeVertex(tuple):
+    """The vertex (n, c) as a tuple: an integer level n and a sorted
+    configuration c = ((position, value), ...) with positions >= n and
+    values nonzero.  parent() and children() build their vertices valid by
+    construction, without the check."""
 
-    def __post_init__(self):
-        if any(pos < self.n for pos, _ in self.c):
-            raise TreeError(f"configuration below level {self.n}")
+    __slots__ = ()
+    n = property(itemgetter(0))
+    c = property(itemgetter(1))
+
+    def __new__(cls, n, c):
+        if any(pos < n for pos, _ in c):
+            raise TreeError(f"configuration below level {n}")
+        return tuple.__new__(cls, (n, c))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def parent(self):
-        return TreeVertex(self.n + 1, tuple((p, v) for p, v in self.c if p >= self.n + 1))
+        # Only the lowest lamp of c can sit at n.
+        n, c = self
+        return tuple.__new__(TreeVertex, (n + 1, c[1:] if c and c[0][0] == n else c))
 
     def children(self, q):
-        out = []
-        for val in range(q):
-            extra = ((self.n - 1, val),) if val else ()
-            out.append(TreeVertex(self.n - 1, tuple(sorted(extra + self.c))))
-        return out
+        # The new lamp sits at n - 1, below every position of c.
+        n, c = self
+        return [tuple.__new__(TreeVertex, (n - 1, ((n - 1, val),) + c if val else c)) for val in range(q)]
 
     def id(self):
-        return f"{self.n}|" + ",".join(f"{p}:{v}" for p, v in self.c)
+        return f"{self[0]}|" + ",".join(f"{p}:{v}" for p, v in self[1])
 
     def __repr__(self):
         return self.id()
@@ -108,15 +120,33 @@ def tree_transitivity_witness(family, v: TreeVertex, w: TreeVertex) -> GroupPoin
     return g
 
 
-def tree_qi_probe(family, count=200, max_len=8, seed=0, unchecked=False):
-    """Compare word length with orbit tree distance on sampled elements;
-    the word lengths are one identity-row pairwise_word_lengths call."""
-    from .metric import qi_embedding_check
-    from .words import identity_point, pairwise_word_lengths, sample_points
+def basepoint_distances(basis, enc, ms):
+    """d(o, g.o) for the points g = (h, m) of a lamplighter family encoded
+    as rows enc on `basis` with exponents ms, as an int64 array.
 
-    points = sample_points(family, count, max_len=max_len, seed=seed)
-    lengths = pairwise_word_lengths([identity_point(family)], points, unchecked=unchecked)[0]
-    samples = {(s, tree_distance(BASEPOINT, tree_act(g, BASEPOINT))) for g, s in zip(points, lengths.tolist())}
+    tree_act puts g.o at level -m with the lamps of h below position m,
+    the lowest at p reflected to -p - 1, so its lowest common ancestor
+    with o sits at level max(0, -m, -p) and d(o, g.o) = 2 max(0, -m, -p)
+    + m (with no such lamp, p drops out).
+    """
+    positions = np.arange(basis.lo, basis.hi + 1)
+    below = (enc != 0) & (positions < ms[:, None])
+    lowest = np.where(below.any(axis=1), -positions[below.argmax(axis=1)], 0)
+    return 2 * np.maximum(np.maximum(lowest, -ms), 0) + ms
+
+
+def tree_qi_probe(family, count=200, max_len=8, seed=0, unchecked=False):
+    """Compare word length with orbit tree distance on sampled elements.
+    The sample stays encoded on its own basis: the word lengths are its
+    identity row, and the orbit distances are basepoint_distances."""
+    from .metric import qi_embedding_check
+    from .words import _identity_row_lengths, _require_validated, _sample_encoded
+
+    basis, enc, ms = _sample_encoded(family, count, max_len, seed)
+    _require_validated(family, unchecked)
+    lengths = _identity_row_lengths(family, basis, enc, ms)
+    _require_lamplighter(family)
+    samples = set(zip(lengths.tolist(), basepoint_distances(basis, enc, ms).tolist()))
     return qi_embedding_check(sorted(samples))
 
 

@@ -612,19 +612,81 @@ def sample_points(family, count, max_len=8, seed=0, window=None):
     words over windowed A-letters and alpha+-, dropping duplicates.  Each
     A-letter is built from the index drawn, so the window's A is never
     listed."""
+    basis, enc, ms = _sample_encoded(family, count, max_len, seed, window)
+    return [GroupPoint(family, h, m) for h, m in zip(basis.decode(enc), ms.tolist())]
+
+
+def _sample_encoded(family, count, max_len=8, seed=0, window=None):
+    """sample_points as (basis, enc, ms): the kept points in draw order,
+    encoded on one basis and not decoded.
+
+    Words are drawn in chunks with random_word's RNG calls; a letter index
+    drawn from range(len(a_letters)) consumes the stream as drawing the
+    letter does.  A chunk is evaluated as one batch: each A-letter twisted
+    by its prefix exponent and summed per word (H is abelian) on the basis
+    of the letters drawn so far, then deduplicated on (row key, m) in draw
+    order.  A chunk that draws a new letter rebuilds the basis and
+    re-encodes the points kept so far.  Words drawn past the point where a
+    word-by-word loop stops are ignored, and an A-letter drawn from a
+    window whose A is the identity alone raises only if that loop would
+    have drawn it.
+    """
     if window is None:
         window = family.default_window(max_len)
     rng = random.Random(seed)
     a_letters = window_a_letters(family, window)
-    seen, out = set(), []
+    indices = range(len(a_letters))
+    letters, row_of = [], {}  # the distinct letters drawn, and the row of each index
+    basis = family.basis(letters, max_len, max_len)
+    letter_enc = kept = basis.encode(letters)
+    kept_ms, seen = np.zeros(0, dtype=np.int64), set()
     attempts = 0
-    while len(out) < count and attempts < 50 * count:
-        attempts += 1
-        x = evaluate(family, random_word(family, rng, max_len, a_letters))
-        if x.key() not in seen:
-            seen.add(x.key())
-            out.append(x)
-    return out
+    while len(kept_ms) < count and attempts < 50 * count:
+        # The first chunk has a word per missing point, later ones twice
+        # that many times the words drawn per point kept so far.
+        missing = count - len(kept_ms)
+        size = -(-2 * missing * attempts // len(kept_ms)) if len(kept_ms) else missing
+        size = min(size, 50 * count - attempts)
+        known, error = len(letters), None
+        word_of, rows, twists, ms = [], [], [], []
+        try:
+            for w in range(size):
+                m = 0
+                for letter in random_word(family, rng, max_len, indices):
+                    if not isinstance(letter, Gen):
+                        m += 1 if letter == ALPHA else -1
+                        continue
+                    i = letter.payload
+                    if i not in row_of:
+                        row_of[i] = len(letters)
+                        letters.append(a_letters[i])
+                        check_word(family, [Gen(letters[-1])])
+                    word_of.append(w)
+                    rows.append(row_of[i])
+                    twists.append(m)
+                ms.append(m)
+        except IndexError as exc:  # a window whose A is the identity alone
+            error = exc
+        if len(letters) > known:
+            new_basis = family.basis(letters, max_len, max_len)
+            letter_enc = new_basis.encode(letters)
+            kept = new_basis.encode(basis.decode(kept))
+            seen = set(zip(new_basis.row_keys(kept), kept_ms.tolist()))
+            basis = new_basis
+        ms = np.array(ms, dtype=np.int64)
+        enc = basis.twisted_sums(
+            basis.take(letter_enc, np.array(rows, dtype=np.intp)),
+            np.array(twists, dtype=np.int64),
+            np.array(word_of, dtype=np.intp),
+            len(ms),
+        )
+        new = _first_new(list(zip(basis.row_keys(enc), ms.tolist())), seen)[:missing]
+        kept = basis.concat([kept, basis.take(enc, new)])
+        kept_ms = np.concatenate([kept_ms, ms[new]])
+        attempts += len(ms)
+        if error is not None and len(kept_ms) < count:
+            raise error
+    return basis, kept, kept_ms
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,11 @@ class TestBusemannQuasicharacter:
         g = h_point(L2, L2.lamp(0)) * alpha_point(L2, -2)
         assert busemann_quasicharacter(g).value == -2
 
+    @pytest.mark.parametrize("N", [0, -1, -2])
+    def test_horizon_below_one_raises(self, N):
+        with pytest.raises(ValueError, match="< 1"):
+            busemann_quasicharacter(alpha_point(L2, 1), N=N)
+
     def test_homogeneity_exact(self):
         g = h_point(L2, L2.lamp(1)) * alpha_point(L2, 2)
         beta_g = busemann_quasicharacter(g).value

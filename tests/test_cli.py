@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 from unittest import mock
 
@@ -484,9 +485,60 @@ class TestFlags:
         code, out, _ = run(capsys, "ball", "--family", "lamplighter:2", "--radius", "2", "--window=-1,1,2", "--format", "json")
         assert code == 0 and json.loads(out)["window"] == {"lo": -1, "hi": 1, "levels": 2}
 
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--family", "lamplighter:2"],
+            ["classify", "--family", "lamplighter:2", "a+"],
+            ["beta", "--family", "nadic:2", "a+"],
+            ["schottky", "--family", "lamplighter:2", "a+", "a+ g{0:1}"],
+            ["report", "--family", "lamplighter:2", "--radius", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_horizon_below_one_is_config_error(self, capsys, argv, horizon):
+        code, out, err = run(capsys, *argv, "--horizon", horizon)
+        assert code == 1 and out == ""
+        assert err == f"error: argument --horizon: {horizon}: must be >= 1\n"
+
     def test_schottky_passes_unchecked(self, capsys):
         argv = ["schottky", "--family", "spoof-identity:2", "a+", "a+ g{0:1}", "--horizon", "4"]
         code, _, err = run(capsys, *argv)
         assert code == 1 and "unchecked" in err
         code, out, _ = run(capsys, *argv, "--unchecked")
         assert code == 0 and json.loads(out)["injective"] is False
+
+
+
+# sha256 of stdout, recorded before the δ kernel skipped finished basepoints
+# and the tree report read its sample encoded: output stays byte-identical
+# across changes of speed.  The first ten are the perfbench `reports` pool.
+STDOUT_SHA256 = [
+    (["report", "--family", "nadic:2", "--radius", "2", "--horizon", "6"], "7cbfda080cece8a2b2d69ede08de26276d0cf3ec14e9c67ee1e0c8e65314cecf"),
+    (["report", "--family", "lamplighter:2", "--radius", "3"], "25fa14df099128b2bd87346658899d5546e756a469953b583d3cca36a4bf1000"),
+    (["verify", "--family", "lamplighter:2"], "cf687601c68aa0a4e1defc5a01dddf7e9a9dcd5c2490fa796254ccbcc2e40676"),
+    (["verify", "--family", "nadic:2"], "9f7fd9e46165fa33b8d2356a10ddcb9626689070e410918e0306d4d693bcd506"),
+    (["classify", "--family", "nadic:2", "--horizon", "6", "a+", "g{1/2}"], "b3f83bb5d57d39137027f74e0ff7b2b138e761f63d6107a2f1b91475331f15c7"),
+    (["classify", "--family", "lamplighter:2", "a+", "g{0:1}"], "b21a612fbe88de20e4c3b50bcf23fe1e9c2750ce931baf9c2df231b8db70404c"),
+    (["schottky", "--family", "lamplighter:2", "a+", "a+ g{0:1}"], "cf49f0a2e24d4cb8823d80aafd01494322346a34abe2a3a5bf14994d1b1493d6"),
+    (["schottky", "--family", "nadic:2", "a+", "a+ g{1}"], "30c0ed12ab4b6006d9348f416944ea2e4134008637506a063b822c5191306fc9"),
+    (["tree", "--family", "lamplighter:3", "--radius", "4"], "968804ab791e10be9370f77fa5e8521e918de9c60662eb0d4d34c310ec92447c"),
+    (["millefeuille", "T3", "T4", "--radius", "3"], "867ad51f97c4825413dc0ef803cdb5dcae2180080802b16d126dcff03516f00b"),
+    (["tree", "--family", "lamplighter:2", "--radius", "6", "--seed", "3"], "fb3742bdf6a62e86fb317777529c5bdf49502c879b31afe5dfb61e04ed479372"),
+    (["tree", "--family", "lamplighter:5", "--radius", "3", "--seed", "1"], "fb3431ff3fc52aaa40d83c54569c549ac536afc230516fb389326fee920ef21c"),
+    (["millefeuille", "line", "T3", "--radius", "4"], "8353e6b0cad0e04529860e4accfaeb100bcfce10ef1bf7353ab49f71f65ea780"),
+    (["millefeuille", "T4", "T5", "--radius", "2", "--format", "csv"], "092a6c7427a75424f3ccfa42228ce208a93b494112529271a8b75aa9e5e46a96"),
+    (["delta", "--family", "nadic:2", "--radius", "2"], "e1c9bb7c783b5dc4ee83d7b052140c73d381c61a25f7443134df97b49eef8a69"),
+    (
+        ["ball", "--family", "lamplighter:2", "--radius", "4", "--samples", "50", "--format", "json"],
+        "85292b7d0a23823aefc474b7fcf94ace13ed24cb7092671ba23037f64bbd1b2b",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", STDOUT_SHA256, ids=[" ".join(argv) for argv, _ in STDOUT_SHA256])
+def test_stdout_is_pinned(capsys, argv, sha256):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -1,7 +1,11 @@
+import pickle
 import random
 
+import numpy as np
 import pytest
 import scalar_reference as ref
+from hypothesis import given
+from hypothesis import strategies as st
 
 from focalgroups.families import LamplighterFamily, NadicFamily, SpoofIdentityFamily
 from focalgroups.metric import four_point_delta
@@ -10,6 +14,7 @@ from focalgroups.trees import (
     BusemannGraph,
     TreeError,
     TreeVertex,
+    basepoint_distances,
     lamplighter_tree_ball,
     line_fiber_isomorphic,
     millefeuille,
@@ -20,13 +25,32 @@ from focalgroups.trees import (
     tree_transitivity_witness,
     vertex_level,
 )
-from focalgroups.words import UnvalidatedFamilyError, alpha_point, h_point, sample_points, word_length
+from focalgroups.words import GroupPoint, UnvalidatedFamilyError, alpha_point, h_point, sample_points, word_length
 
 L2 = LamplighterFamily(2)
 L3 = LamplighterFamily(3)
 
 
 class TestTreeVertex:
+    def test_fields_equality_and_hash(self):
+        v = TreeVertex(-1, ((-1, 2), (3, 1)))
+        assert (v.n, v.c) == (-1, ((-1, 2), (3, 1)))
+        assert v == TreeVertex(-1, ((-1, 2), (3, 1))) and hash(v) == hash(TreeVertex(-1, ((-1, 2), (3, 1))))
+        assert v != TreeVertex(-1, ((-1, 1), (3, 1)))
+        assert len({v, TreeVertex(-1, ((-1, 2), (3, 1))), BASEPOINT}) == 2
+        assert repr(v) == v.id() == "-1|-1:2,3:1"
+        assert pickle.loads(pickle.dumps(v)) == v
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_children_are_checked_vertices_of_their_parent(self, q):
+        for v in (BASEPOINT, TreeVertex(2, ((2, 1), (4, 3))), TreeVertex(-3, ((0, 1),))):
+            kids = v.children(q)
+            assert len(set(kids)) == q
+            for kid in kids:
+                assert kid == TreeVertex(kid.n, kid.c)
+                assert kid.parent() == v
+            assert v.parent() == TreeVertex(v.parent().n, v.parent().c)
+
     def test_parent_forgets_lowest_position(self):
         v = TreeVertex(0, ((0, 1), (2, 1)))
         assert v.parent() == TreeVertex(1, ((2, 1),))
@@ -139,6 +163,18 @@ class TestQiProbe:
             for g in sample_points(family, count, max_len=max_len, seed=seed)
         }
         assert tree_qi_probe(family, count=count, max_len=max_len, seed=seed) == ref.qi_embedding_check(sorted(samples))
+
+    @given(
+        q=st.sampled_from([2, 3, 5]),
+        lamps=st.dictionaries(st.integers(-6, 6), st.integers(1, 4), max_size=6),
+        m=st.integers(-8, 8),
+    )
+    def test_closed_form_distance_matches_tree_act(self, q, lamps, m):
+        family = LamplighterFamily(q)
+        h = tuple(sorted((pos, val % q) for pos, val in lamps.items() if val % q))
+        basis = family.basis([h], 1, 0)
+        got = basepoint_distances(basis, basis.encode([h]), np.array([m], dtype=np.int64))
+        assert got.tolist() == [tree_distance(BASEPOINT, tree_act(GroupPoint(family, h, m), BASEPOINT))]
 
     def test_unvalidated_family_refused(self):
         with pytest.raises(UnvalidatedFamilyError):
