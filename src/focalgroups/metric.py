@@ -216,7 +216,10 @@ def _defect2_at(d, xs):
     least two points in their prefix (with one, only (y, y) is reached,
     and g[y,y] >= v cannot beat) and with v - min g above their defect,
     up to the longest of their prefixes; the scan stops when v - min g no
-    longer beats the least defect found.
+    longer beats the least defect found.  A live basepoint whose defect is
+    still 0 also skips the matmul at a level where g >= v is an
+    equivalence relation on its points, as at every level of a tree: then
+    the product reaches only the pairs with g >= v, none of which beats 0.
 
     g is held in the smallest signed integer type that holds 2 max d, and
     a level only looks for its best pair at the live basepoints where some
@@ -245,7 +248,20 @@ def _defect2_at(d, xs):
             continue
         k = int(ks[live].max())
         gk = g[live, :k, :k]
-        b = (gk >= v).astype(np.float32)
+        b = gk >= v
+        t = np.flatnonzero(best[live] == 0)
+        if t.size:
+            # Each row of an equivalence relation equals the row of its
+            # first member (rows past a basepoint's own prefix are empty).
+            bt = b[t] if len(t) < len(live) else b
+            first = bt.argmax(axis=2) + k * np.arange(len(t))[:, None]
+            same = (bt == bt.reshape(-1, k)[first.ravel()].reshape(bt.shape)).all(axis=2)
+            closed = t[(same | ~np.diagonal(bt, axis1=1, axis2=2)).all(axis=1)]
+            if closed.size:
+                keep = np.ones(len(live), dtype=bool)
+                keep[closed] = False
+                live, gk, b = live[keep], gk[keep], b[keep]
+        b = b.astype(np.float32)
         reached = np.matmul(b, b) > 0
         beats = reached & (gk < (v - best[live]).astype(g.dtype)[:, None, None])
         i = np.flatnonzero(beats.any(axis=(1, 2)))
