@@ -247,8 +247,8 @@ def _subgroup_closure(generators, L, cap):
         if g.key() not in seen:
             seen.add(g.key())
             gens.append(g)
-    sweep = breadth_first(gens, L, cap=cap)
-    return sweep.points, sweep.closed, sweep.capped
+    sweep = breadth_first(Products(gens, L), L, cap=cap)
+    return sweep.points(), sweep.closed, sweep.capped
 
 
 def action_type(generators, L=8, cap=20000, unchecked=False):

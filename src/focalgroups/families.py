@@ -129,8 +129,11 @@ class GroupFamily:
         raise NotImplementedError
 
     def iter_A_window(self, window):
-        """All A-elements inside the window."""
-        raise NotImplementedError
+        """All A-elements inside the window, in a_window_letter order.  The
+        shape is read at the call, so a window too large to list raises
+        then."""
+        size, _ = self.a_window_shape(window)
+        return (self.a_window_letter(window, i) for i in range(size))
 
     def a_window_shape(self, window):
         """(number of elements of iter_A_window(window), index of the
@@ -560,15 +563,12 @@ class LamplighterFamily(GroupFamily):
     def iter_window(self, window):
         return self._iter_configs(window.lo, window.hi)
 
-    def iter_A_window(self, window):
-        return self._iter_configs(max(window.lo, 0), window.hi)
-
     def a_window_shape(self, window):
         # One base-q digit per lamp position; the identity is all zeros.
         return self.q ** max(0, window.hi - max(window.lo, 0) + 1), 0
 
     def a_window_letter(self, window, index):
-        # _iter_configs counts in base q with the first position most significant.
+        # Base-q digits, the first position most significant (as _iter_configs).
         lamps = []
         for pos in range(window.hi, max(window.lo, 0) - 1, -1):
             index, val = divmod(index, self.q)
@@ -772,11 +772,6 @@ class NadicFamily(GroupFamily):
         for k in range(-window.xmax * den, window.xmax * den + 1):
             yield Fraction(k, den)
 
-    def iter_A_window(self, window):
-        den = self.n**window.dpow
-        for k in range(-den, den + 1):
-            yield Fraction(k, den)
-
     def a_window_shape(self, window):
         den = self.n**window.dpow
         return 2 * den + 1, den
@@ -903,13 +898,12 @@ class ProductFamily(GroupFamily):
         )
 
     def iter_window(self, window):
-        return self._capped(window, list(self.left.iter_window(window.left)), list(self.right.iter_window(window.right)))
-
-    def iter_A_window(self, window):
-        return self._capped(window, list(self.left.iter_A_window(window.left)), list(self.right.iter_A_window(window.right)))
+        left, right = list(self.left.iter_window(window.left)), list(self.right.iter_window(window.right))
+        _check_cap(window, len(left) * len(right))
+        return itertools.product(left, right)
 
     def a_window_shape(self, window):
-        # iter_A_window's pairs in row-major order, under the same cap.
+        # Pairs in row-major order, under the window's cap.
         (nl, il), (nr, ir) = self.left.a_window_shape(window.left), self.right.a_window_shape(window.right)
         _check_cap(window, nl * nr)
         return nl * nr, il * nr + ir
@@ -917,12 +911,6 @@ class ProductFamily(GroupFamily):
     def a_window_letter(self, window, index):
         i, j = divmod(index, self.right.a_window_shape(window.right)[0])
         return (self.left.a_window_letter(window.left, i), self.right.a_window_letter(window.right, j))
-
-    @staticmethod
-    def _capped(window, left, right):
-        """All pairs, or FamilyError when there are more than window.cap."""
-        _check_cap(window, len(left) * len(right))
-        return itertools.product(left, right)
 
     def in_window(self, h, window):
         return self.left.in_window(h[0], window.left) and self.right.in_window(h[1], window.right)

@@ -15,7 +15,6 @@ import csv
 import io
 import itertools
 import numbers
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,28 +80,14 @@ class DistanceMatrix:
         return DistanceMatrix(list(subset), self.d[np.ix_(idx, idx)])
 
     def to_csv(self, stream):
-        close = False
-        if isinstance(stream, (str, os.PathLike)):
-            stream, close = open(stream, "w", newline=""), True
-        try:
-            writer = csv.writer(stream)
-            writer.writerow([str(p) for p in self.points])
-            for row in self.d:
-                writer.writerow([int(v) for v in row])
-        finally:
-            if close:
-                stream.close()
+        writer = csv.writer(stream)
+        writer.writerow([str(p) for p in self.points])
+        for row in self.d:
+            writer.writerow([int(v) for v in row])
 
     @classmethod
     def from_csv(cls, stream):
-        close = False
-        if isinstance(stream, (str, os.PathLike)):
-            stream, close = open(stream, newline=""), True
-        try:
-            rows = list(csv.reader(stream))
-        finally:
-            if close:
-                stream.close()
+        rows = list(csv.reader(stream))
         points = rows[0]
         d = np.array([[int(v) for v in row] for row in rows[1:]], dtype=np.int64)
         return cls(points, d)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -209,20 +208,13 @@ class BusemannGraph:
         lines.append("}")
         return "\n".join(lines)
 
-    def to_adjacency_csv(self, stream=None):
-        buf = stream or io.StringIO()
-        close = False
-        if isinstance(buf, (str, os.PathLike)):
-            buf, close = open(buf, "w", newline=""), True
-        try:
-            writer = csv.writer(buf)
-            writer.writerow(["u", "v", "b_u", "b_v"])
-            for u, v in self.edges:
-                writer.writerow([u, v, self.b[u], self.b[v]])
-        finally:
-            if close:
-                buf.close()
-        return None if stream is not None else buf.getvalue()
+    def to_adjacency_csv(self):
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["u", "v", "b_u", "b_v"])
+        for u, v in self.edges:
+            writer.writerow([u, v, self.b[u], self.b[v]])
+        return buf.getvalue()
 
 
 def regular_tree_ball(k, levels, orientation=-1):

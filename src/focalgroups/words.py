@@ -234,9 +234,15 @@ def _require_validated(family, unchecked):
         )
 
 
-# Pairs per block of rows in _encoded_word_lengths: bounds every array
-# temporary (512 kB each, so they stay in cache) whatever the size of the ball.
+# Pairs per block of rows in _encoded_word_lengths, and products per block of
+# frontier rows in breadth_first: bounds every array temporary (512 kB each,
+# so they stay in cache) whatever the size of the ball or of the frontier.
 PAIRS_PER_BLOCK = 1 << 16
+
+# The most points ball_points keeps: its matrix holds n^2 int64 distances
+# (800 MB at the limit) and the delta kernel several n x n temporaries, so a
+# larger ball is a configuration error rather than an allocation failure.
+BALL_POINT_LIMIT = 10_000
 
 
 def pairwise_word_lengths(xs, ys, unchecked=False):
@@ -356,7 +362,8 @@ class Products:
     row r * len(gens) + c holding x_r . s_c; the basis is wide enough for
     every product of at most `factors` generators.  A point's key is its
     encoded row plus m, so two points are equal exactly when their keys
-    are.
+    are; with every generator in H, every point has m = 0 and its key is
+    its row's.
     """
 
     def __init__(self, gens, factors):
@@ -366,6 +373,7 @@ class Products:
         shift = max(0, factors - 1) * max(abs(s.m) for s in gens)
         self.basis = self.family.basis([s.h for s in gens], factors, shift)
         self.gens, self.gen_ms = self.encode(gens)
+        self.in_H = not self.gen_ms.any()
 
     def encode(self, points):
         return self.basis.encode([x.h for x in points]), np.array([x.m for x in points], dtype=np.int64)
@@ -376,7 +384,12 @@ class Products:
     def take(self, enc, ms, rows):
         return self.basis.take(enc, rows), ms[rows]
 
+    def concat(self, parts):
+        return self.basis.concat([enc for enc, _ in parts]), np.concatenate([ms for _, ms in parts])
+
     def keys(self, enc, ms):
+        if self.in_H:
+            return self.basis.row_keys(enc)
         return list(zip(self.basis.row_keys(enc), ms.tolist()))
 
     def decode(self, enc, ms):
@@ -396,45 +409,57 @@ def _first_new(keys, seen):
 
 @dataclass
 class Sweep:
-    points: list  # GroupPoints in BFS order, the identity first
-    depths: list  # the BFS level of each point
+    law: Products
+    enc: object  # the points' rows on law.basis in BFS order, the identity first
+    ms: np.ndarray  # their exponents
+    depths: np.ndarray  # the BFS level of each point, ascending
     truncated: bool  # some product fell outside the window
     capped: bool  # the cap stopped the sweep
     closed: bool  # a level found nothing new before the cap or the last level
 
+    def points(self):
+        return self.law.decode(self.enc, self.ms)
 
-def breadth_first(gens, levels, window=None, cap=None):
-    """Level-synchronous BFS from the identity over the generators.
 
-    Each level multiplies the whole frontier by every generator in one
-    Products call and keeps the new points in first-occurrence order (the
-    order of a point-by-point scan of frontier x generators).  With a
-    window, products outside it are dropped and the sweep is truncated;
-    with a cap, the sweep stops at the first point beyond cap points.
+def breadth_first(law, levels, window=None, cap=None):
+    """Level-synchronous BFS from the identity over the law's generators.
+
+    Each level multiplies the frontier by every generator in blocks of
+    frontier rows of at most PAIRS_PER_BLOCK products and keeps the new
+    points in first-occurrence order (the order of a point-by-point scan
+    of frontier x generators).  With a window, products outside it are
+    dropped and the sweep is truncated; with a cap, checked after each
+    block, the sweep stops at the first point beyond cap points, so it
+    holds every depth below its last one.
     """
-    law = Products(gens, levels)
     enc, ms = law.encode([identity_point(law.family)])
-    points, depths = law.decode(enc, ms), [0]
-    seen = set(law.keys(enc, ms))
+    by_depth, seen, count = [(enc, ms)], set(law.keys(enc, ms)), 1
+    step = max(1, PAIRS_PER_BLOCK // len(law.gen_ms))
     truncated = capped = closed = False
     for depth in range(1, levels + 1):
-        cand, cand_ms = law.times(enc, ms)
-        if window is not None:
-            inside = (np.abs(cand_ms) <= window.levels) & law.basis.in_window(cand, window)
-            truncated = truncated or not inside.all()
-            cand, cand_ms = law.take(cand, cand_ms, np.flatnonzero(inside))
-        new = _first_new(law.keys(cand, cand_ms), seen)
-        if cap is not None and len(points) + len(new) > cap:
-            new, capped = new[: cap + 1 - len(points)], True
-        enc, ms = law.take(cand, cand_ms, new)
-        points += law.decode(enc, ms)
-        depths += [depth] * len(new)
+        found = []
+        for lo in range(0, len(ms), step):
+            cand, cand_ms = law.times(*law.take(enc, ms, slice(lo, lo + step)))
+            if window is not None:
+                inside = (np.abs(cand_ms) <= window.levels) & law.basis.in_window(cand, window)
+                truncated = truncated or not inside.all()
+                cand, cand_ms = law.take(cand, cand_ms, np.flatnonzero(inside))
+            new = _first_new(law.keys(cand, cand_ms), seen)
+            if cap is not None and count + len(new) > cap:
+                new, capped = new[: cap + 1 - count], True
+            found.append(law.take(cand, cand_ms, new))
+            count += len(new)
+            if capped:
+                break
+        enc, ms = law.concat(found)
+        by_depth.append((enc, ms))
         if capped:
             break
-        if not new:
+        if not len(ms):
             closed = True
             break
-    return Sweep(points, depths, truncated, capped, closed)
+    depths = np.repeat(np.arange(len(by_depth)), [len(ms) for _, ms in by_depth])
+    return Sweep(law, *law.concat(by_depth), depths, truncated, capped, closed)
 
 
 @dataclass
@@ -442,26 +467,26 @@ class BfsResult:
     family: object
     window: object
     radius: int
-    points: dict  # key -> GroupPoint
+    points: dict  # key -> GroupPoint, in the sweep's order
     dist: dict  # key -> int
     trusted: set  # keys whose closed-form geodesic stays inside the window
     truncated: bool
     generators: list
-
-    def trusted_items(self):
-        return [(k, self.points[k], self.dist[k]) for k in sorted(self.trusted)]
+    sweep: Sweep
 
     def distance_matrix(self):
         """All-pairs distances within the windowed Cayley graph (upper
-        bounds for d_S away from the trusted set)."""
-        keys = sorted(self.points)
-        law = Products(self.generators, self.radius + 1)
-        enc, ms = law.encode([self.points[k] for k in keys])
+        bounds for d_S away from the trusted set), from the sweep's own
+        encoding sorted by key."""
+        keys = list(self.points)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        law = self.sweep.law
+        enc, ms = law.take(self.sweep.enc, self.sweep.ms, np.array(order, dtype=np.intp))
         index = dict(zip(law.keys(enc, ms), range(len(keys))))
         step = len(self.generators)
         found = [index.get(key) for key in law.keys(*law.times(enc, ms))]
         adjacency = [[j for j in found[i * step : (i + 1) * step] if j is not None] for i in range(len(keys))]
-        return graph_distance_matrix([k.decode() for k in keys], adjacency)
+        return graph_distance_matrix([keys[r].decode() for r in order], adjacency)
 
 
 def bfs_oracle(family, window=None, radius=5):
@@ -470,7 +495,9 @@ def bfs_oracle(family, window=None, radius=5):
 
     Window distances can only overestimate d_S; an element is marked
     trusted when an explicitly verified geodesic witness stays inside
-    the window (then both bounds meet and the value is exact).
+    the window (then both bounds meet and the value is exact).  The law
+    holds products of radius + 1 generators, so the distance matrix
+    multiplies the sweep's points once more on the same basis.
     """
     if window is None:
         window = family.default_window(radius)
@@ -483,11 +510,11 @@ def bfs_oracle(family, window=None, radius=5):
                 by_key[family.canonical_bytes(g)] = GroupPoint(family, g, 0)
     gens = list(by_key.values()) + [alpha_point(family, 1), alpha_point(family, -1)]
 
-    sweep = breadth_first(gens, radius, window=window)
-    points = {x.key(): x for x in sweep.points}
-    dist = dict(zip(points, sweep.depths))
+    sweep = breadth_first(Products(gens, radius + 1), radius, window=window)
+    points = {x.key(): x for x in sweep.points()}
+    dist = dict(zip(points, sweep.depths.tolist()))
     trusted = {k for k, x in points.items() if _witness_in_window(x, window)}
-    return BfsResult(family, window, radius, points, dist, trusted, sweep.truncated, gens)
+    return BfsResult(family, window, radius, points, dist, trusted, sweep.truncated, gens, sweep)
 
 
 def _witness_in_window(x, window):
@@ -556,6 +583,8 @@ def ball_points(family, radius, window=None, sample=None, seed=0, unchecked=Fals
     cands = basis.take(basis.encode(hs), h_of)
     lengths = _identity_row_lengths(family, basis, cands, ms)
     kept = np.flatnonzero(lengths <= radius)
+    if len(kept) > BALL_POINT_LIMIT:
+        raise FamilyError(f"the ball has {len(kept)} points, above the limit of {BALL_POINT_LIMIT}")
     h_of, ms = h_of[kept].tolist(), ms[kept]
     h_keys = {i: family.canonical_bytes(hs[i]) for i in set(h_of)}
     keys = [h_keys[i] + b"@%d" % m for i, m in zip(h_of, ms.tolist())]
@@ -723,72 +752,55 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
     """Verify that products of 2^m windowed A-elements have word length
     <= 2*n0*m + 1 for m <= m_max.
 
-    Exhaustive via iterated set products while the closure stays small
-    (the lamplighter case, where A.A = A); falls back to seeded random
-    products otherwise.  Every level stays encoded on one basis: its
-    lengths are the identity row over the encoded set, and only the
+    A contains the identity, so the set A^(2^m) of <= 2^m-fold products is
+    the ball of radius 2^m in the A-word metric: the points of depth
+    <= 2^m of one BFS over A, capped at exhaustive_cap (on lamplighter
+    families A.A = A, and the sweep closes at depth 2).  From the first
+    level whose ball passes the cap on, each level checks seeded random
+    products instead.  The balls and the samples stay encoded on the
+    sweep's basis: their lengths are one identity row, and only the
     violating elements are decoded.
     """
     if window is None:
         window = family.default_window(6)
     a_window = list(family.iter_A_window(window))
-    basis = family.basis(a_window, 2**m_max, 0)
+    law = Products([h_point(family, a) for a in a_window], 2**m_max)
+    sweep = breadth_first(law, 2**m_max, cap=exhaustive_cap)
+    # A capped sweep holds every depth below its last one.
+    whole = sweep.depths[-1] - 1 if sweep.capped else 2**m_max
+    exhaustive = [m for m in range(1, m_max + 1) if 2**m <= whole]
+    # Level m checks rows [lo, hi) of one encoding: each ball is a prefix
+    # of the sweep, and the sampled levels follow the largest one.
+    rows = [(0, int(np.searchsorted(sweep.depths, 2**m, side="right"))) for m in exhaustive]
+    size = rows[-1][1] if rows else 0
+    parts = [law.take(sweep.enc, sweep.ms, slice(0, size))]
     rng = random.Random(seed)
+    for m in range(len(exhaustive) + 1, m_max + 1):
+        products = []
+        for _ in range(samples):
+            h = family.identity()
+            for _ in range(2**m):
+                h = family.multiply(h, rng.choice(a_window))
+            products.append(h)
+        rows.append((size, size + samples))
+        size += samples
+        parts.append(law.encode([h_point(family, h) for h in products]))
+    enc, ms = law.concat(parts)
+    lengths = _identity_row_lengths(family, law.basis, enc, ms)
     violations = []
-    checked = 0
-    complete = True
-
-    # A contains the identity, so the set of <=2^m-fold products is the
-    # set of exactly-2^m-fold products; square the set m times.
-    current, size, exhaustive = basis.encode(a_window), len(a_window), True
-    for m in range(1, m_max + 1):
+    for m, (lo, hi) in enumerate(rows, 1):
         bound = 2 * family.n0 * m + 1
-        if exhaustive:
-            square = _square(basis, current, size, exhaustive_cap)
-            if square is None:
-                exhaustive = False
-                complete = False
-            else:
-                current, size = square
-        if exhaustive:
-            batch, n = current, size
-        else:
-            products = []
-            for _ in range(samples):
-                h = family.identity()
-                for _ in range(2**m):
-                    h = family.multiply(h, rng.choice(a_window))
-                products.append(h)
-            batch, n = basis.encode(products), samples
-        checked += n
-        lengths = _identity_row_lengths(family, basis, batch, np.zeros(n, dtype=np.int64))
-        bad = np.flatnonzero(lengths > bound)
-        for h, wl in zip(basis.decode(basis.take(batch, bad)), lengths[bad].tolist()):
+        bad = lo + np.flatnonzero(lengths[lo:hi] > bound)
+        for h, wl in zip(law.basis.decode(law.basis.take(enc, bad)), lengths[bad].tolist()):
             violations.append({"m": m, "h": family.format_h(h), "length": wl, "bound": bound})
     return DistortionReport(
         family=family.config(),
         window=window.as_dict(),
         m_max=m_max,
-        checked=checked,
+        checked=sum(hi - lo for lo, hi in rows),
         violations=violations[:10],
-        complete=complete,
+        complete=len(exhaustive) == m_max,
     )
-
-
-def _square(basis, enc, size, cap):
-    """The set {a.b : a, b in enc} of the `size` encoded elements, in
-    first-occurrence order, as (encoded rows, count); None as soon as it
-    has more than cap elements.  Rows of a go in blocks of at most
-    PAIRS_PER_BLOCK products."""
-    step = max(1, PAIRS_PER_BLOCK // size)
-    seen, parts = set(), []
-    for lo in range(0, size, step):
-        rows = np.arange(lo, min(lo + step, size))
-        prods = basis.twisted_products(basis.take(enc, rows), np.zeros(len(rows), dtype=np.int64), enc)
-        parts.append(basis.take(prods, _first_new(basis.row_keys(prods), seen)))
-        if len(seen) > cap:
-            return None
-    return basis.concat(parts), len(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from focalgroups import boundary
+from focalgroups import boundary, words
 from focalgroups.cli import _delta_verdict, build_parser, main
 from focalgroups.families import LamplighterFamily
 from focalgroups.metric import graph_distance_matrix
@@ -102,6 +102,12 @@ class TestDelta:
         code, out, err = run(capsys, "delta", "--family", "product(lamplighter:2,nadic:2)", "--radius", "7")
         assert code == 1 and out == ""
         assert err == "error: product window has 20608 elements, above its cap of 20000\n"
+
+    def test_ball_above_the_point_limit_is_config_error(self, capsys):
+        with mock.patch.object(words, "BALL_POINT_LIMIT", 17):
+            code, out, err = run(capsys, "delta", "--family", "lamplighter:2", "--radius", "2")
+        assert code == 1 and out == ""
+        assert err == "error: the ball has 18 points, above the limit of 17\n"
 
 
 class TestBall:

@@ -180,7 +180,12 @@ class TestClosure:
         gens = data.draw(st.lists(points(family, hs, 2), min_size=1, max_size=3), label="gens")
         L = data.draw(st.integers(0, 4), label="L")
         cap = data.draw(st.integers(1, 300), label="cap")
-        same_closure(_subgroup_closure(gens, L, cap), ref.subgroup_closure(gens, L, cap))
+        # Small blocks split each level into many blocks of frontier rows,
+        # and the cap lands inside one.
+        block = data.draw(st.sampled_from([words.PAIRS_PER_BLOCK, 20, 1]), label="block")
+        with mock.patch.object(words, "PAIRS_PER_BLOCK", block):
+            got = _subgroup_closure(gens, L, cap)
+        same_closure(got, ref.subgroup_closure(gens, L, cap))
 
 
 ORACLES = {
@@ -195,10 +200,16 @@ ORACLES = {
 
 
 class TestOracle:
-    @pytest.mark.parametrize("name", sorted(ORACLES))
-    def test_matches_scalar_loop(self, name):
+    # The default block, and blocks of a few frontier rows.
+    @pytest.mark.parametrize(
+        "name, block",
+        [pytest.param(name, None, id=name) for name in sorted(ORACLES)]
+        + [pytest.param(name, 40, id=f"{name}-block40") for name in sorted(ORACLES)],
+    )
+    def test_matches_scalar_loop(self, name, block):
         family, window, radius = ORACLES[name]
-        res = bfs_oracle(family, window, radius=radius)
+        with mock.patch.object(words, "PAIRS_PER_BLOCK", block or words.PAIRS_PER_BLOCK):
+            res = bfs_oracle(family, window, radius=radius)
         points, dist, truncated = ref.oracle_sweep(res.generators, window, radius)
         assert list(res.points) == list(points)
         assert list(res.points.values()) == list(points.values())
@@ -269,14 +280,24 @@ DISTORTIONS = {
         dict(window=ProductWindow(LamplighterWindow(0, 2, 4), NadicWindow(1, 2, 4), 4), exhaustive_cap=300, samples=40),
     ),
     "spoof": (SPOOF, dict(window=LamplighterWindow(-2, 2, 4))),
+    # The BFS depths 3, 4 and 5 over the default A hold 97, 129 and 161 points.
+    "nadic-cap97": (N2, dict(exhaustive_cap=97, samples=40)),
+    "nadic-cap128": (N2, dict(exhaustive_cap=128, samples=40)),
+    "nadic-cap129": (N2, dict(exhaustive_cap=129, samples=40)),
+    "nadic-capped-small-blocks": (N2, dict(exhaustive_cap=100, samples=40, seed=3)),
 }
+
+# Products per block of frontier rows, where an entry sets it.
+DISTORTION_BLOCKS = {"nadic-capped-small-blocks": 100}
 
 
 class TestDistortion:
     @pytest.mark.parametrize("name", sorted(DISTORTIONS))
     def test_matches_scalar_loop(self, name):
         family, kwargs = DISTORTIONS[name]
-        got, want = distortion_check(family, **kwargs).as_dict(), ref.distortion_check(family, **kwargs).as_dict()
+        with mock.patch.object(words, "PAIRS_PER_BLOCK", DISTORTION_BLOCKS.get(name, words.PAIRS_PER_BLOCK)):
+            got = distortion_check(family, **kwargs).as_dict()
+        want = ref.distortion_check(family, **kwargs).as_dict()
         # The scalar loop listed violations in set order.
         for report in (got, want):
             report["violations"].sort(key=lambda v: (v["m"], v["h"]))

@@ -505,6 +505,14 @@ class TestBallPoints:
             ball_points(spoof, 2, unchecked=True)
         assert time.perf_counter() - start < 5
 
+    def test_above_the_point_limit_raises(self, monkeypatch):
+        # lamplighter:2 r2 keeps 18 points; no point is dropped to fit.
+        monkeypatch.setattr(words, "BALL_POINT_LIMIT", 17)
+        with pytest.raises(FamilyError, match="the ball has 18 points, above the limit of 17"):
+            ball_points(L2, 2)
+        monkeypatch.setattr(words, "BALL_POINT_LIMIT", 18)
+        assert len(ball_points(L2, 2)[0]) == 18
+
     def test_exhaustive_ball_is_metric(self):
         pts, D = ball_points(L2, 4)
         D.validate()
