@@ -14,6 +14,8 @@ import json
 import re
 import sys
 
+import numpy as np
+
 from . import boundary, families, metric, trees, words
 
 
@@ -145,12 +147,9 @@ def cmd_ball(args):
         _emit(args, None, text=D.csv_string().rstrip("\n"))
     elif args.format == "dot":
         lines = ["graph ball {"]
-        for p in D.points:
-            lines.append(f'  "{p}";')
-        for i in range(len(D)):
-            for j in range(i + 1, len(D)):
-                if D.d[i, j] == 1:
-                    lines.append(f'  "{D.points[i]}" -- "{D.points[j]}";')
+        lines += [f'  "{p}";' for p in D.points]
+        rows, cols = np.nonzero(np.triu(D.d == 1, 1))  # row-major: the order of a loop over i < j
+        lines += [f'  "{D.points[i]}" -- "{D.points[j]}";' for i, j in zip(rows.tolist(), cols.tolist())]
         lines.append("}")
         _emit(args, None, text="\n".join(lines))
     else:

@@ -51,16 +51,16 @@ class GroupFamily:
     def invert(self, h):
         raise NotImplementedError
 
-    def alpha(self, h):
+    def alpha_pow(self, h, k):
+        """alpha^k(h) for any integer k: the one form of alpha a family
+        implements."""
         raise NotImplementedError
+
+    def alpha(self, h):
+        return self.alpha_pow(h, 1)
 
     def alpha_inv(self, h):
-        raise NotImplementedError
-
-    def alpha_pow(self, h, k):
-        for _ in range(abs(k)):
-            h = self.alpha(h) if k > 0 else self.alpha_inv(h)
-        return h
+        return self.alpha_pow(h, -1)
 
     # -- the confined subset A -------------------------------------------
     def in_A(self, h):
@@ -168,9 +168,9 @@ def _check_levels(levels):
 
 
 def json_field(obj, key, kind, default=None):
-    """obj[key] of an element's JSON payload as a `kind` (int takes JSON
-    integers and decimal strings), or default when the key is absent and a
-    default is given; FamilyError otherwise."""
+    """obj[key] of an element's JSON payload or a family config as a `kind`
+    (int takes JSON integers and decimal strings), or default when the key
+    is absent and a default is given; FamilyError otherwise."""
     value = obj.get(key, default) if isinstance(obj, dict) else None
     try:
         if kind is int and isinstance(value, (int, str)) and not isinstance(value, bool):
@@ -179,7 +179,7 @@ def json_field(obj, key, kind, default=None):
             return value
     except ValueError:
         pass
-    raise FamilyError(f"element payload {obj!r} needs {key!r} as {kind.__name__}")
+    raise FamilyError(f"{obj!r} needs {key!r} as {kind.__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +479,6 @@ class LamplighterFamily(GroupFamily):
     def invert(self, h):
         return tuple((pos, (self.q - val) % self.q) for pos, val in h)
 
-    def alpha(self, h):
-        return tuple((pos + 1, val) for pos, val in h)
-
-    def alpha_inv(self, h):
-        return tuple((pos - 1, val) for pos, val in h)
-
     def alpha_pow(self, h, k):
         return tuple((pos + k, val) for pos, val in h)
 
@@ -597,12 +591,6 @@ class SpoofIdentityFamily(LamplighterFamily):
     def name(self):
         return f"spoof-identity(q={self.q})"
 
-    def alpha(self, h):
-        return h
-
-    def alpha_inv(self, h):
-        return h
-
     def alpha_pow(self, h, k):
         return h
 
@@ -676,12 +664,6 @@ class NadicFamily(GroupFamily):
 
     def invert(self, h):
         return -h
-
-    def alpha(self, h):
-        return h / self.n
-
-    def alpha_inv(self, h):
-        return h * self.n
 
     def alpha_pow(self, h, k):
         return h / self.n**k if k >= 0 else h * self.n ** (-k)
@@ -829,12 +811,6 @@ class ProductFamily(GroupFamily):
     def invert(self, h):
         return (self.left.invert(h[0]), self.right.invert(h[1]))
 
-    def alpha(self, h):
-        return (self.left.alpha(h[0]), self.right.alpha(h[1]))
-
-    def alpha_inv(self, h):
-        return (self.left.alpha_inv(h[0]), self.right.alpha_inv(h[1]))
-
     def alpha_pow(self, h, k):
         return (self.left.alpha_pow(h[0], k), self.right.alpha_pow(h[1], k))
 
@@ -926,15 +902,17 @@ def family_from_config(config):
     {"family": "lamplighter", "q": 2} or the shorthand "lamplighter:2"."""
     if isinstance(config, str):
         config = _parse_shorthand(config)
+    if not isinstance(config, dict):
+        raise FamilyError(f"family config {config!r} is neither a mapping nor a shorthand string")
     kind = config.get("family")
     if kind == "lamplighter":
-        return LamplighterFamily(int(config["q"]))
+        return LamplighterFamily(json_field(config, "q", int))
     if kind == "nadic":
-        return NadicFamily(int(config["n"]))
+        return NadicFamily(json_field(config, "n", int))
     if kind == "product":
-        return ProductFamily(family_from_config(config["left"]), family_from_config(config["right"]))
+        return ProductFamily(family_from_config(config.get("left")), family_from_config(config.get("right")))
     if kind == "spoof-identity":
-        return SpoofIdentityFamily(int(config.get("q", 2)))
+        return SpoofIdentityFamily(json_field(config, "q", int, 2))
     raise FamilyError(f"unknown family {kind!r}")
 
 

@@ -116,15 +116,28 @@ def check_word(family, letters):
 def evaluate(family, letters):
     """Left-to-right product of the letters, starting at the identity."""
     check_word(family, letters)
-    x = identity_point(family)
+    return GroupPoint(family, *_walk(family, letters))
+
+
+def _walk(family, letters, window=None):
+    """(h, m) of the product of checked letters from the identity: an
+    A-letter g takes (h, m) to (h . alpha^m(g), m).  With a window, None at
+    the first A-letter or prefix outside it; an alpha letter moves only m,
+    so only |m| is re-checked."""
+    h, m = family.identity(), 0
     for letter in letters:
-        if letter == ALPHA:
-            x = GroupPoint(family, x.h, x.m + 1)
-        elif letter == ALPHA_INV:
-            x = GroupPoint(family, x.h, x.m - 1)
+        if isinstance(letter, Gen):
+            g = letter.payload
+            if window is not None and not family.in_window(g, window):
+                return None
+            h = family.multiply(h, family.alpha_pow(g, m))
+            if window is not None and not family.in_window(h, window):
+                return None
         else:
-            x = GroupPoint(family, family.multiply(x.h, family.alpha_pow(letter.payload, x.m)), x.m)
-    return x
+            m += 1 if letter == ALPHA else -1
+            if window is not None and abs(m) > window.levels:
+                return None
+    return h, m
 
 
 @dataclass(frozen=True)
@@ -221,7 +234,7 @@ def _length_scan(x, unchecked):
             if la <= 1:
                 return best, best_i, best_g
         i += 1
-        g = family.alpha(g)
+        g = family.alpha_pow(g, 1)
         if i > 10**6:
             raise WordError("word_length failed to terminate; broken family?")
 
@@ -239,9 +252,9 @@ def _require_validated(family, unchecked):
 # so they stay in cache) whatever the size of the ball or of the frontier.
 PAIRS_PER_BLOCK = 1 << 16
 
-# The most points ball_points keeps: its matrix holds n^2 int64 distances
-# (800 MB at the limit) and the delta kernel several n x n temporaries, so a
-# larger ball is a configuration error rather than an allocation failure.
+# The most points ball_points keeps and bfs_oracle reaches: either matrix
+# holds n^2 int64 distances (800 MB at the limit) and the delta kernel several
+# n x n temporaries, so more is a configuration error, not an allocation failure.
 BALL_POINT_LIMIT = 10_000
 
 
@@ -497,7 +510,8 @@ def bfs_oracle(family, window=None, radius=5):
     trusted when an explicitly verified geodesic witness stays inside
     the window (then both bounds meet and the value is exact).  The law
     holds products of radius + 1 generators, so the distance matrix
-    multiplies the sweep's points once more on the same basis.
+    multiplies the sweep's points once more on the same basis.  A sweep
+    that passes BALL_POINT_LIMIT points raises a FamilyError.
     """
     if window is None:
         window = family.default_window(radius)
@@ -510,7 +524,9 @@ def bfs_oracle(family, window=None, radius=5):
                 by_key[family.canonical_bytes(g)] = GroupPoint(family, g, 0)
     gens = list(by_key.values()) + [alpha_point(family, 1), alpha_point(family, -1)]
 
-    sweep = breadth_first(Products(gens, radius + 1), radius, window=window)
+    sweep = breadth_first(Products(gens, radius + 1), radius, window=window, cap=BALL_POINT_LIMIT)
+    if sweep.capped:
+        raise FamilyError(f"the BFS oracle passes the limit of {BALL_POINT_LIMIT} points")
     points = {x.key(): x for x in sweep.points()}
     dist = dict(zip(points, sweep.depths.tolist()))
     trusted = {k for k, x in points.items() if _witness_in_window(x, window)}
@@ -519,30 +535,13 @@ def bfs_oracle(family, window=None, radius=5):
 
 def _witness_in_window(x, window):
     """Walk the closed-form geodesic witness and check every prefix stays
-    inside the window and every A-letter is a windowed generator.
-
-    The walk tracks the prefix's (h, m): an alpha letter moves only m, so
-    the window test of the unchanged h still holds, and an A-letter g
-    multiplies h by alpha^m(g).
-    """
-    family = x.family
+    inside the window and every A-letter is a windowed generator."""
     try:
         letters = geodesic_witness(x, unchecked=True)
     except FamilyError:
         return False
-    h, m = family.identity(), 0
-    for letter in letters:
-        if not isinstance(letter, Gen):
-            m += 1 if letter == ALPHA else -1
-            if abs(m) > window.levels:
-                return False
-        elif not family.in_window(letter.payload, window):
-            return False
-        else:
-            h = family.multiply(h, family.alpha_pow(letter.payload, m))
-            if not family.in_window(h, window):
-                return False
-    return GroupPoint(family, h, m) == x
+    end = _walk(x.family, letters, window)
+    return end is not None and GroupPoint(x.family, *end) == x
 
 
 # ---------------------------------------------------------------------------
@@ -757,9 +756,11 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
     <= 2^m of one BFS over A, capped at exhaustive_cap (on lamplighter
     families A.A = A, and the sweep closes at depth 2).  From the first
     level whose ball passes the cap on, each level checks seeded random
-    products instead.  The balls and the samples stay encoded on the
-    sweep's basis: their lengths are one identity row, and only the
-    violating elements are decoded.
+    products instead: letter indices drawn as rng.choice(a_window) would
+    draw the letters, and each product the sum of its letters' rows of the
+    law's generators (H is abelian).  The balls and the samples stay
+    encoded on the sweep's basis: their lengths are one identity row, and
+    only the violating elements are decoded.
     """
     if window is None:
         window = family.default_window(6)
@@ -774,17 +775,14 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
     rows = [(0, int(np.searchsorted(sweep.depths, 2**m, side="right"))) for m in exhaustive]
     size = rows[-1][1] if rows else 0
     parts = [law.take(sweep.enc, sweep.ms, slice(0, size))]
-    rng = random.Random(seed)
+    rng, indices = random.Random(seed), range(len(a_window))
     for m in range(len(exhaustive) + 1, m_max + 1):
-        products = []
-        for _ in range(samples):
-            h = family.identity()
-            for _ in range(2**m):
-                h = family.multiply(h, rng.choice(a_window))
-            products.append(h)
+        picks = np.array([rng.choice(indices) for _ in range(samples * 2**m)], dtype=np.intp)
+        word = np.repeat(np.arange(samples), 2**m)
+        enc = law.basis.twisted_sums(law.basis.take(law.gens, picks), np.zeros(len(picks), dtype=np.int64), word, samples)
         rows.append((size, size + samples))
         size += samples
-        parts.append(law.encode([h_point(family, h) for h in products]))
+        parts.append((enc, np.zeros(samples, dtype=np.int64)))
     enc, ms = law.concat(parts)
     lengths = _identity_row_lengths(family, law.basis, enc, ms)
     violations = []

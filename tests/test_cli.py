@@ -38,6 +38,21 @@ class TestVerify:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"family":"lamplighter","q":[2]}',
+            '{"family":"nadic","n":null}',
+            '{"family":"product","left":5,"right":"nadic:2"}',
+            '{"family":"lamplighter","q":2.7}',
+        ],
+        ids=["q-list", "n-null", "left-number", "q-float"],
+    )
+    def test_malformed_family_json_is_config_error(self, capsys, spec):
+        code, out, err = run(capsys, "verify", "--family", spec)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestDelta:
     def test_within_bound(self, capsys):
@@ -540,6 +555,7 @@ STDOUT_SHA256 = [
         ["ball", "--family", "lamplighter:2", "--radius", "4", "--samples", "50", "--format", "json"],
         "85292b7d0a23823aefc474b7fcf94ace13ed24cb7092671ba23037f64bbd1b2b",
     ),
+    (["ball", "--family", "lamplighter:2", "--radius", "3", "--format", "dot"], "dc60f59ce679e6ea421a46536abcbc92234748185fc84e9a1790313933d23280"),
 ]
 
 

@@ -395,6 +395,12 @@ class TestSerialization:
         with pytest.raises(FamilyError):
             family_from_config("nonsense:1")
 
+    def test_shorthand_inside_a_mapping(self):
+        config = {"family": "product", "left": "lamplighter:2", "right": {"family": "nadic", "n": "3"}}
+        assert family_from_config(config) == ProductFamily(LamplighterFamily(2), NadicFamily(3))
+        with pytest.raises(FamilyError):
+            family_from_config({"family": "product", "left": 5, "right": "nadic:2"})
+
     def test_nadic_rejects_foreign_denominators(self):
         with pytest.raises(FamilyError):
             N2.element(Fraction(1, 3))

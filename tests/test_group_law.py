@@ -220,6 +220,20 @@ class TestOracle:
         assert D.points == want.points
         assert np.array_equal(D.d, want.d)
 
+    def test_point_limit(self):
+        # The lamplighter-r5 oracle has 178 points: a limit of 178 keeps
+        # them all, and 177 is a configuration error, not a shorter oracle.
+        family, window, radius = ORACLES["lamplighter-r5"]
+        with mock.patch.object(words, "BALL_POINT_LIMIT", 178):
+            assert len(bfs_oracle(family, window, radius=radius).points) == 178
+        with mock.patch.object(words, "BALL_POINT_LIMIT", 177), pytest.raises(FamilyError, match="limit of 177 points"):
+            bfs_oracle(family, window, radius=radius)
+
+    def test_large_a_stops_at_the_first_level(self):
+        # The default radius-4 window of nadic:10 has 20,002 generators.
+        with pytest.raises(FamilyError, match="limit"):
+            bfs_oracle(N10, radius=4)
+
 
 def lamplighter_windows(lo, hi, radius):
     return st.builds(LamplighterWindow, st.integers(lo, 0), st.integers(0, hi), st.integers(0, radius))
@@ -302,6 +316,20 @@ class TestDistortion:
         for report in (got, want):
             report["violations"].sort(key=lambda v: (v["m"], v["h"]))
         assert got == want
+
+    @pytest.mark.parametrize("name", ["nadic-capped", "product-sampled"])
+    def test_samples_stay_encoded(self, name, monkeypatch):
+        # Sampled products are sums of encoded letters, not scalar products.
+        def refuse(*args):
+            raise AssertionError("a sampled product left the encoding")
+
+        family, kwargs = DISTORTIONS[name]
+        want = ref.distortion_check(family, **kwargs).as_dict()
+        monkeypatch.setattr(family, "multiply", refuse)
+        got = distortion_check(family, **kwargs).as_dict()
+        for report in (got, want):
+            report["violations"].sort(key=lambda v: (v["m"], v["h"]))
+        assert got == want and not got["complete"]
 
     def test_nadic_default_counts(self):
         # 65 + 129 + 257 elements: A^2, A^4 and A^8 for the 33 elements of A
