@@ -198,6 +198,11 @@ class LamplighterBasis:
     row w encodes the sum of alpha^ts[r](s_r) over the rows r with
     word[r] = w (the identity for a w with none), for w < count.  With
     twisted False, alpha is the identity and ms and ts are ignored.
+    a_factorize(G) is the batched a_factorize: (letters, factored), with
+    letter j of row r (an encoding per j, at least one) the j-th A-letter
+    of row r's factorization, identity letters ending the shorter ones,
+    and factored False for a row outside every power of A, whose letters
+    are identities.
     Digits are uint8 while a sum of two stays below 256, so a row costs a
     byte a position.
 
@@ -255,7 +260,8 @@ class LamplighterBasis:
     def twisted_sums(self, S, ts, word, count):
         padded, cols = self._twist(S, ts)
         out = np.zeros((count, self.width), dtype=np.int64)
-        np.add.at(out, word, padded[np.arange(len(S))[:, None], cols])
+        # add.at is several times slower when it casts the digits itself.
+        np.add.at(out, word, padded[np.arange(len(S))[:, None], cols].astype(np.int64))
         out %= self.q
         return out.astype(self.dtype)
 
@@ -271,6 +277,11 @@ class LamplighterBasis:
         cols = np.arange(self.width)[None, :] - shift[:, None]
         cols[(cols < 0) | (cols >= self.width)] = self.width
         return np.concatenate([S, np.zeros((len(S), 1), dtype=self.dtype)], axis=1), cols
+
+    def a_factorize(self, G):
+        # A row in A is its own one-letter factorization.
+        in_A = ~G[:, : max(0, -self.lo)].any(axis=1)
+        return [G * in_A[:, None]], in_A
 
     def pair_a_lengths(self, R, row_ms, C):
         # The lamps of h_i^-1 h_j sit where the digits of h_i and h_j differ;
@@ -352,6 +363,13 @@ class NadicBasis:
             raise FamilyError("twist outside the basis")
         return self.powers[np.maximum(-ms, 0)], self.powers[np.maximum(ms, 0)]
 
+    def a_factorize(self, G):
+        # k = a_length letters: k - 1 units of G's sign, then the remainder.
+        k = -(-np.abs(G) // self.scale)
+        unit = np.sign(G) * self.scale
+        letters = [np.where(j < k - 1, unit, np.where(j == k - 1, G - j * unit, 0)) for j in range(max(1, int(k.max(initial=0))))]
+        return letters, np.ones(len(G), dtype=bool)
+
     def pair_a_lengths(self, R, row_ms, C):
         # With a_ij = |N_j - N_i| (below 2^63 in an int64 basis),
         # a_length(alpha^k g_ij) = ceil(a_ij / n^(dpow + k - m_i)).
@@ -418,12 +436,24 @@ class ProductBasis:
     def twisted_sums(self, S, ts, word, count):
         return (self.left.twisted_sums(S[0], ts, word, count), self.right.twisted_sums(S[1], ts, word, count))
 
+    def a_factorize(self, G):
+        (left, ok1), (right, ok2) = self.left.a_factorize(G[0]), self.right.a_factorize(G[1])
+        k = max(len(left), len(right))
+        left += [_identity_rows(G[0])] * (k - len(left))
+        right += [_identity_rows(G[1])] * (k - len(right))
+        return list(zip(left, right)), ok1 & ok2
+
     def pair_a_lengths(self, R, row_ms, C):
         # a_length is the max of the component lengths, so it is <= 1 from
         # the later of the two components' settling indices on.
         s1, l1 = self.left.pair_a_lengths(R[0], row_ms, C[0])
         s2, l2 = self.right.pair_a_lengths(R[1], row_ms, C[1])
         return np.maximum(s1, s2), lambda k: np.maximum(l1(k), l2(k))
+
+
+def _identity_rows(enc):
+    """Identity rows shaped as enc: every basis encodes the identity as zeros."""
+    return tuple(map(_identity_rows, enc)) if isinstance(enc, tuple) else np.zeros_like(enc)
 
 
 @dataclass(frozen=True)
@@ -704,10 +734,8 @@ class NadicFamily(GroupFamily):
         return h != 0
 
     def compaction_index(self):
-        # Length ratio |A| / |alpha(A)| = 2 / (2/n), exact in Z[1/n]-density.
-        ratio = Fraction(2) / (Fraction(2) / self.n)
-        assert ratio.denominator == 1
-        return int(ratio)
+        # Length ratio |A| / |alpha(A)| = 2 / (2/n) = n, exact in Z[1/n]-density.
+        return self.n
 
     def lattice_count_ratio(self, dpow):
         """Windowed lattice-point surrogate: points of A over points of

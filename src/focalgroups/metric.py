@@ -110,7 +110,8 @@ def graph_distance_matrix(points, adjacency) -> DistanceMatrix:
     so each level ORs the frontier rows of v's neighbours, one padded
     neighbour slot at a time, keeps the bits not seen before, and adds one
     to every pair still unreached: a pair first reached at level L ends
-    at L.
+    at L.  Levels are counted in the smallest signed type that holds
+    n - 1, the longest a distance can be, and returned as int64.
     """
     n = len(points)
     degrees = np.array([len(a) for a in adjacency], dtype=np.int64)
@@ -123,7 +124,7 @@ def graph_distance_matrix(points, adjacency) -> DistanceMatrix:
     frontier[np.arange(n), np.arange(n) // 8] = 128 >> (np.arange(n) % 8)
     seen = frontier[:n].copy()
     reach = np.empty_like(seen)
-    d = np.zeros((n, n), dtype=np.int64)
+    d = np.zeros((n, n), dtype=np.min_scalar_type(-max(n, 1)))
     while True:
         reach.fill(0)
         for slot in nbrs.T:
@@ -131,12 +132,12 @@ def graph_distance_matrix(points, adjacency) -> DistanceMatrix:
         reach &= ~seen
         if not reach.any():
             break
-        d += np.unpackbits(~seen, axis=1, count=n)
+        d += np.unpackbits(~seen, axis=1, count=n).view(np.int8)
         seen |= reach
         frontier[:n] = reach
     if not np.unpackbits(seen, axis=1, count=n).all():
         raise MetricError("graph is disconnected")
-    return DistanceMatrix(points, d)
+    return DistanceMatrix(points, d.astype(np.int64))
 
 
 def gromov_product(x, y, base, D: DistanceMatrix) -> Fraction:

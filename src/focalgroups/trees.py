@@ -113,9 +113,10 @@ def tree_act(g: GroupPoint, v: TreeVertex) -> TreeVertex:
 
 
 def tree_transitivity_witness(family, v: TreeVertex, w: TreeVertex) -> GroupPoint:
-    """A group element g with tree_act(g, v) = w."""
+    """A group element g with tree_act(g, v) = w, checked by acting with it."""
     g = vertex_rep(family, w) * vertex_rep(family, v).inverse()
-    assert tree_act(g, v) == w
+    if tree_act(g, v) != w:
+        raise TreeError(f"{g} takes {v} to {tree_act(g, v)}, not to {w}")
     return g
 
 

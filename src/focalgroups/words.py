@@ -114,30 +114,16 @@ def check_word(family, letters):
 
 
 def evaluate(family, letters):
-    """Left-to-right product of the letters, starting at the identity."""
+    """Left-to-right product of the letters, starting at the identity: an
+    A-letter g takes (h, m) to (h . alpha^m(g), m), and alpha+- moves m."""
     check_word(family, letters)
-    return GroupPoint(family, *_walk(family, letters))
-
-
-def _walk(family, letters, window=None):
-    """(h, m) of the product of checked letters from the identity: an
-    A-letter g takes (h, m) to (h . alpha^m(g), m).  With a window, None at
-    the first A-letter or prefix outside it; an alpha letter moves only m,
-    so only |m| is re-checked."""
     h, m = family.identity(), 0
     for letter in letters:
         if isinstance(letter, Gen):
-            g = letter.payload
-            if window is not None and not family.in_window(g, window):
-                return None
-            h = family.multiply(h, family.alpha_pow(g, m))
-            if window is not None and not family.in_window(h, window):
-                return None
+            h = family.multiply(h, family.alpha_pow(letter.payload, m))
         else:
             m += 1 if letter == ALPHA else -1
-            if window is not None and abs(m) > window.levels:
-                return None
-    return h, m
+    return GroupPoint(family, h, m)
 
 
 @dataclass(frozen=True)
@@ -321,7 +307,9 @@ def _encoded_word_lengths(basis, R, row_ms, C, col_ms, at=None, symmetric=False)
     return out
 
 
-def _block_word_lengths(basis, R, row_ms, C, col_ms):
+def _block_word_lengths(basis, R, row_ms, C, col_ms, first=False):
+    """The lengths of one block of pairs; with `first`, also each pair's
+    first exponent that attains its minimum (the i of _length_scan)."""
     m = col_ms[None, :] - row_ms[:, None]
     settle, lengths = basis.pair_a_lengths(R, row_ms, C)
     if (settle == ARRAY_INF).any():
@@ -331,14 +319,19 @@ def _block_word_lengths(basis, R, row_ms, C, col_ms):
     # alone exceeds the cost there), so the longest span sets the loop.
     start = np.maximum(0, -m)
     span = np.maximum(start, settle) - start
-    best = None
+    best = at = None
     for j in range(int(span.max()) + 1):
         k = start + j
         cost = lengths(k)
         cost += m
         cost += 2 * k
-        best = cost if best is None else np.minimum(best, cost, out=best)
-    return best
+        if best is None:
+            best, at = cost, k
+            continue
+        if first:
+            at = np.where(cost < best, k, at)
+        best = np.minimum(best, cost, out=best)
+    return (best, at) if first else best
 
 
 def _identity_row_lengths(family, basis, enc, ms):
@@ -529,19 +522,44 @@ def bfs_oracle(family, window=None, radius=5):
         raise FamilyError(f"the BFS oracle passes the limit of {BALL_POINT_LIMIT} points")
     points = {x.key(): x for x in sweep.points()}
     dist = dict(zip(points, sweep.depths.tolist()))
-    trusted = {k for k, x in points.items() if _witness_in_window(x, window)}
+    trusted = set(itertools.compress(points, _trusted_rows(sweep.law, sweep.enc, sweep.ms, window)))
     return BfsResult(family, window, radius, points, dist, trusted, sweep.truncated, gens, sweep)
 
 
-def _witness_in_window(x, window):
-    """Walk the closed-form geodesic witness and check every prefix stays
-    inside the window and every A-letter is a windowed generator."""
-    try:
-        letters = geodesic_witness(x, unchecked=True)
-    except FamilyError:
-        return False
-    end = _walk(x.family, letters, window)
-    return end is not None and GroupPoint(x.family, *end) == x
+def _trusted_rows(law, enc, ms, window):
+    """Which of the points encoded as rows enc on law.basis, with exponents
+    ms, have a closed-form geodesic witness inside the window, as a bool
+    array: geodesic_witness walked and verified for every point at once.
+
+    The identity row gives each point x = (h, m) its first minimising
+    exponent i, and basis.a_factorize the A-letters a_1 .. a_k of
+    alpha^i(h), a row outside every power of A having none.  The witness
+    alpha^-i a_1 .. a_k alpha^(m+i) stays inside the window when i and |m|
+    are at most its levels, and every letter and every prefix
+    alpha^-i(a_1 .. a_j) lies in it; it is verified when the last prefix
+    is h itself.  Identity letters end the shorter factorizations and
+    leave their prefixes as they are.  Every prefix is one twisted sum
+    (H is abelian), all in one call.  The identity row is one block: an
+    oracle has at most BALL_POINT_LIMIT points.  Every point of the sweep
+    has i <= d(1, x) <= its depth, so the law's basis, which holds twists
+    up to the radius, holds alpha^i(h) and alpha^-i of its letters.
+    """
+    basis, n = law.basis, len(ms)
+    one, rows = basis.encode([law.family.identity()]), np.arange(n)
+    _, i = _block_word_lengths(basis, one, np.zeros(1, dtype=np.int64), enc, ms, first=True)
+    ok = (i[0] <= window.levels) & (np.abs(ms) <= window.levels)
+    i = np.where(ok, i[0], 0)
+    letters, factored = basis.a_factorize(basis.twisted_sums(enc, i, rows, n))
+    # Prefix j of row r, at row j * n + r, sums letters l <= j of row r.
+    k = len(letters)
+    l, j = np.triu_indices(k)
+    S = basis.concat(letters)
+    src, dst = (l[:, None] * n + rows).ravel(), (j[:, None] * n + rows).ravel()
+    prefixes = basis.twisted_sums(basis.take(S, src), np.tile(-i, len(l)), dst, k * n)
+    ok &= factored & basis.in_window(S, window).reshape(k, n).all(axis=0)
+    ok &= basis.in_window(prefixes, window).reshape(k, n).all(axis=0)
+    last = basis.row_keys(basis.take(prefixes, slice((k - 1) * n, None)))
+    return ok & np.array([p == h for p, h in zip(last, basis.row_keys(enc))], dtype=bool)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ from focalgroups.families import (
     ARRAY_INF,
     INF,
     FamilyError,
+    LamplighterBasis,
     LamplighterFamily,
     LamplighterWindow,
+    NadicBasis,
     NadicFamily,
     NadicWindow,
     ProductFamily,
@@ -39,6 +41,7 @@ from focalgroups.words import (
     identity_point,
     pairwise_word_lengths,
     sample_points,
+    word_length,
 )
 
 L2 = LamplighterFamily(2)
@@ -241,6 +244,86 @@ def lamplighter_windows(lo, hi, radius):
 
 def nadic_windows(xmax, dpow, radius):
     return st.builds(NadicWindow, st.integers(0, xmax), st.integers(0, dpow), st.integers(0, radius))
+
+
+def levels_near(r):
+    # Below, at and above the radius: the law's basis holds twists up to
+    # the radius only.
+    return st.integers(max(0, r - 2), r + 2)
+
+
+# family, the radii drawn, and the windows for a radius.  nadic:10 at
+# radius 9 has an object-dtype basis.
+TRUSTED = {
+    "lamplighter:2": (L2, st.integers(1, 5), lambda r: st.builds(LamplighterWindow, st.integers(-2, 0), st.integers(0, 2), levels_near(r))),
+    "lamplighter:3": (L3, st.integers(1, 4), lambda r: st.builds(LamplighterWindow, st.integers(-1, 0), st.integers(0, 2), levels_near(r))),
+    "nadic:2": (N2, st.integers(1, 6), lambda r: st.builds(NadicWindow, st.integers(1, 6), st.integers(0, 2), levels_near(r))),
+    "nadic:3": (N3, st.integers(1, 4), lambda r: st.builds(NadicWindow, st.integers(1, 2), st.integers(0, 1), levels_near(r))),
+    "nadic:10": (N10, st.just(9), lambda r: st.builds(NadicWindow, st.integers(1, 2), st.integers(0, 1), st.integers(0, 3))),
+    "product": (
+        PROD,
+        st.integers(1, 3),
+        lambda r: st.builds(ProductWindow, lamplighter_windows(-1, 1, r), nadic_windows(1, 1, r), levels_near(r)),
+    ),
+    "spoof-identity:2": (SPOOF, st.integers(1, 4), lambda r: st.builds(LamplighterWindow, st.integers(-2, 0), st.integers(0, 2), levels_near(r))),
+}
+
+
+class TestTrustedSet:
+    @pytest.mark.parametrize("spec", sorted(TRUSTED))
+    @given(data=st.data())
+    def test_matches_scalar_walk(self, spec, data):
+        # The batched walk trusts exactly the points whose witness the
+        # GroupPoint walk keeps inside the window; the oracle never asks
+        # for validation, so the spoof runs as under unchecked.
+        family, radii, windows = TRUSTED[spec]
+        radius = data.draw(radii, label="radius")
+        window = data.draw(windows(radius), label="window")
+        res = bfs_oracle(family, window, radius=radius)
+        assert res.trusted == {k for k, x in res.points.items() if ref.witness_in_window(x, window)}
+
+    def test_nadic10_basis_is_object_dtype(self):
+        res = bfs_oracle(N10, NadicWindow(1, 1, 3), radius=9)
+        assert res.sweep.enc.dtype == object and res.trusted
+
+    def test_geodesic_below_the_levels_is_untrusted(self):
+        # (6, 0) takes six A-letters inside levels 0, but its geodesic
+        # a- g{1} g{1} g{1} a+ has length 5 and needs level -1.
+        res = bfs_oracle(N2, NadicWindow(6, 0, 0), radius=6)
+        key = h_point(N2, Fraction(6)).key()
+        assert res.dist[key] == 6 and word_length(res.points[key]) == 5
+        assert key not in res.trusted
+        assert res.trusted == {k for k, x in res.points.items() if ref.witness_in_window(x, res.window)}
+
+    def test_prefix_outside_the_window_is_untrusted(self, monkeypatch):
+        # Letters 1 and -1 appended to every n-adic witness keep its last
+        # prefix h, but the prefix between them, h + alpha^-i(1), may leave
+        # the window.
+        family, window, radius = ORACLES["nadic-r5"]
+        want = bfs_oracle(family, window, radius=radius)
+        factorize = NadicBasis.a_factorize
+
+        def longer(basis, G):
+            letters, factored = factorize(basis, G)
+            unit = np.full_like(G, basis.scale)
+            return letters + [unit, -unit], factored
+
+        monkeypatch.setattr(NadicBasis, "a_factorize", longer)
+        got = bfs_oracle(family, window, radius=radius)
+
+        def inside(x):
+            i = words._length_scan(x, False)[1]
+            return family.in_window(x.h + family.alpha_pow(Fraction(1), -i), window)
+
+        assert got.trusted == {k for k in want.trusted if inside(want.points[k])} < want.trusted
+
+    def test_unverified_factorization_is_untrusted(self, monkeypatch):
+        # Identity letters lie in every window, but their last prefix is
+        # the identity, not h: only the points with h = 1 stay trusted.
+        family, window, radius = ORACLES["lamplighter-r5"]
+        monkeypatch.setattr(LamplighterBasis, "a_factorize", lambda basis, G: ([np.zeros_like(G)], np.ones(len(G), dtype=bool)))
+        res = bfs_oracle(family, window, radius=radius)
+        assert res.trusted == {k for k, x in res.points.items() if not x.h}
 
 
 # family, the largest radius whose default window stays small, and the

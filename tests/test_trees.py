@@ -7,6 +7,7 @@ import scalar_reference as ref
 from hypothesis import given
 from hypothesis import strategies as st
 
+from focalgroups import trees
 from focalgroups.families import LamplighterFamily, NadicFamily, SpoofIdentityFamily
 from focalgroups.metric import four_point_delta
 from focalgroups.trees import (
@@ -136,6 +137,13 @@ class TestTransitivity:
             g = tree_transitivity_witness(L2, v, w)
             # edges map to edges: the parent edge at v lands on the parent edge at w
             assert tree_act(g, v.parent()) == w.parent()
+
+    def test_wrong_action_raises(self, monkeypatch):
+        # The check acts with the witness, so it holds under python -O too.
+        v = TreeVertex(-1, ((-1, 1),))
+        monkeypatch.setattr(trees, "tree_act", lambda g, u: u.parent())
+        with pytest.raises(TreeError, match="not to"):
+            tree_transitivity_witness(L2, BASEPOINT, v)
 
 
 class TestQiProbe:

@@ -354,6 +354,19 @@ class TestPairwiseWordLengths:
         got = pairwise_word_lengths(pts, pts, unchecked=unchecked)
         assert np.array_equal(got, scalar_matrix(pts, pts, unchecked=unchecked))
 
+    @pytest.mark.parametrize("spec", sorted(H_STRATEGIES))
+    @given(data=st.data())
+    def test_first_minimising_exponent(self, spec, data):
+        # The identity row's lengths and first exponents are _length_scan's
+        # (length, i), the exponent the geodesic witness starts from.
+        family, hs = H_STRATEGIES[spec]
+        xs = data.draw(point_lists(family, hs), label="xs")
+        basis = family.basis([x.h for x in xs], 1, 0)
+        one, zero = basis.encode([family.identity()]), np.zeros(1, dtype=np.int64)
+        ms = np.array([x.m for x in xs], dtype=np.int64)
+        lengths, first = words._block_word_lengths(basis, one, zero, basis.encode([x.h for x in xs]), ms, first=True)
+        assert list(zip(lengths[0].tolist(), first[0].tolist())) == [words._length_scan(x, False)[:2] for x in xs]
+
     def test_identity_row_is_word_length(self):
         pts = sample_points(N2, 40, max_len=7, seed=3)
         row = pairwise_word_lengths([identity_point(N2)], pts)[0]
