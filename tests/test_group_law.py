@@ -252,20 +252,28 @@ def levels_near(r):
     return st.integers(max(0, r - 2), r + 2)
 
 
+def lamplighter_windows_near(lo, hi, r):
+    return st.builds(LamplighterWindow, st.integers(lo, 0), st.integers(0, hi), levels_near(r))
+
+
+def nadic_windows_near(xmax, dpow, r):
+    return st.builds(NadicWindow, st.integers(1, xmax), st.integers(0, dpow), levels_near(r))
+
+
 # family, the radii drawn, and the windows for a radius.  nadic:10 at
 # radius 9 has an object-dtype basis.
 TRUSTED = {
-    "lamplighter:2": (L2, st.integers(1, 5), lambda r: st.builds(LamplighterWindow, st.integers(-2, 0), st.integers(0, 2), levels_near(r))),
-    "lamplighter:3": (L3, st.integers(1, 4), lambda r: st.builds(LamplighterWindow, st.integers(-1, 0), st.integers(0, 2), levels_near(r))),
-    "nadic:2": (N2, st.integers(1, 6), lambda r: st.builds(NadicWindow, st.integers(1, 6), st.integers(0, 2), levels_near(r))),
-    "nadic:3": (N3, st.integers(1, 4), lambda r: st.builds(NadicWindow, st.integers(1, 2), st.integers(0, 1), levels_near(r))),
+    "lamplighter:2": (L2, st.integers(1, 5), lambda r: lamplighter_windows_near(-2, 2, r)),
+    "lamplighter:3": (L3, st.integers(1, 4), lambda r: lamplighter_windows_near(-1, 2, r)),
+    "nadic:2": (N2, st.integers(1, 6), lambda r: nadic_windows_near(6, 2, r)),
+    "nadic:3": (N3, st.integers(1, 4), lambda r: nadic_windows_near(2, 1, r)),
     "nadic:10": (N10, st.just(9), lambda r: st.builds(NadicWindow, st.integers(1, 2), st.integers(0, 1), st.integers(0, 3))),
     "product": (
         PROD,
         st.integers(1, 3),
         lambda r: st.builds(ProductWindow, lamplighter_windows(-1, 1, r), nadic_windows(1, 1, r), levels_near(r)),
     ),
-    "spoof-identity:2": (SPOOF, st.integers(1, 4), lambda r: st.builds(LamplighterWindow, st.integers(-2, 0), st.integers(0, 2), levels_near(r))),
+    "spoof-identity:2": (SPOOF, st.integers(1, 4), lambda r: lamplighter_windows_near(-2, 2, r)),
 }
 
 
