@@ -25,7 +25,6 @@ from .words import (
     alpha_point,
     breadth_first,
     identity_point,
-    pairwise_word_lengths,
     word_length,
 )
 
@@ -61,16 +60,16 @@ class TranslationReport:
         }
 
 
-def orbit_lengths(g, N, unchecked=False):
+def orbit_lengths(g, N):
     """d(1, g^n) for n = 1..N, computed incrementally."""
     out, x = [], identity_point(g.family)
     for _ in range(N):
         x = x * g
-        out.append(word_length(x, unchecked=unchecked))
+        out.append(word_length(x))
     return out
 
 
-def translation_number(g, N=32, unchecked=False):
+def translation_number(g, N=32):
     """Estimate lim d(1, g^n)/n.
 
     The limit is the infimum of d(1, g^n)/n by subadditivity, so the
@@ -78,7 +77,7 @@ def translation_number(g, N=32, unchecked=False):
     families the exact value is |m(g)|: the exponent projection is
     1-Lipschitz, and the orbit excess d(1, g^n) - n|m| stabilizes.
     """
-    lengths = orbit_lengths(g, N, unchecked=unchecked)
+    lengths = orbit_lengths(g, N)
     estimate = Fraction(lengths[-1], N)
     upper = min(Fraction(dn, n + 1) for n, dn in enumerate(lengths))
     exact = g.family.a_length_validated
@@ -102,7 +101,7 @@ class IsometryType:
         return {"type": self.kind, "evidence_horizon": self.evidence_horizon, "exact": self.exact, "witness": self.witness}
 
 
-def isometry_type(g, N=32, unchecked=False):
+def isometry_type(g, N=32):
     """Elliptic / parabolic / hyperbolic, exact where a family-level
     certificate exists (torsion order, unbounded cyclic growth, m != 0)."""
     family = g.family
@@ -115,7 +114,7 @@ def isometry_type(g, N=32, unchecked=False):
         return IsometryType(ELLIPTIC, N, True, {"order": order})
     if family.h_unbounded(g.h):
         return IsometryType(PARABOLIC, N, True, {"certificate": "unbounded cyclic growth, zero translation number"})
-    lengths = orbit_lengths(g, N, unchecked=unchecked)
+    lengths = orbit_lengths(g, N)
     growing = lengths[-1] > lengths[len(lengths) // 2]
     kind = PARABOLIC if growing else ELLIPTIC
     return IsometryType(kind, N, False, {"orbit_lengths": lengths[-4:]})
@@ -126,7 +125,7 @@ def isometry_type(g, N=32, unchecked=False):
 # ---------------------------------------------------------------------------
 
 
-def horokernel(x, y, N=None, stable_window=6, unchecked=False):
+def horokernel(x, y, N=None, stable_window=6):
     """Height difference b(y) - b(x) along the fixed end: the stabilized
     value of d(y, alpha^-t) - d(x, alpha^-t) for t -> N.
 
@@ -137,15 +136,12 @@ def horokernel(x, y, N=None, stable_window=6, unchecked=False):
     """
     family = x.family
     if N is None:
-        depth = word_length(x, unchecked=unchecked) + word_length(y, unchecked=unchecked)
+        depth = word_length(x) + word_length(y)
         N = depth + abs(x.m) + abs(y.m) + stable_window + 2
     trace = []
     for t in range(1, N + 1):
         ray = alpha_point(family, -t)
-        trace.append(
-            word_length(y.inverse() * ray, unchecked=unchecked)
-            - word_length(x.inverse() * ray, unchecked=unchecked)
-        )
+        trace.append(word_length(y.inverse() * ray) - word_length(x.inverse() * ray))
     tail = trace[-stable_window:]
     if len(set(tail)) != 1:
         raise StabilizationError(f"horokernel not constant over the last {stable_window} steps", trace)
@@ -170,7 +166,7 @@ class QuasicharacterEstimate:
         }
 
 
-def busemann_quasicharacter(g, N=16, unchecked=False):
+def busemann_quasicharacter(g, N=16):
     """Homogeneous quasicharacter of the fixed end, evaluated at g.
 
     Numerically: h(1, g^N)/N for the oriented horokernel h.  For the
@@ -183,8 +179,8 @@ def busemann_quasicharacter(g, N=16, unchecked=False):
         raise ValueError(f"horizon N = {N} < 1")
     family = g.family
     one = identity_point(family)
-    increment = horokernel(one, g, unchecked=unchecked)
-    estimate = Fraction(horokernel(one, g**N, unchecked=unchecked), N)
+    increment = horokernel(one, g)
+    estimate = Fraction(horokernel(one, g**N), N)
     if family.a_length_validated:
         value = Fraction(g.m)
         defect = Fraction(0)
@@ -224,34 +220,34 @@ class ActionVerdict:
         }
 
 
-def axis_distance(x, unchecked=False):
+def axis_distance(x):
     """Distance from x to the cyclic axis {alpha^k}.
 
     For x = (h, m) the exponent projection gives d(x, alpha^k) >= |m - k|,
     so only k within base = d(x, alpha^m) of m can do better than base.
     No verdict rests on it: action_type decides lineal or focal from
     fixed points, not from distances to the axis."""
-    base = word_length(x.inverse() * alpha_point(x.family, x.m), unchecked=unchecked)
+    base = word_length(x.inverse() * alpha_point(x.family, x.m))
     best = base
     for k in range(x.m - base, x.m + base + 1):
-        best = min(best, word_length(x.inverse() * alpha_point(x.family, k), unchecked=unchecked))
+        best = min(best, word_length(x.inverse() * alpha_point(x.family, k)))
     return best
 
 
 def _subgroup_closure(generators, L, cap):
     """Elements reachable by words of length <= L over the generators and
-    their inverses, in BFS order; returns (elements, closed, capped).
-    With the cap hit, the elements stop at the first one beyond cap."""
+    their inverses, a Sweep in BFS order; returns (sweep, closed, capped).
+    With the cap hit, the sweep stops at the first element beyond cap."""
     gens, seen = [], set()
     for g in list(generators) + [g.inverse() for g in generators]:
         if g.key() not in seen:
             seen.add(g.key())
             gens.append(g)
     sweep = breadth_first(Products(gens, L), L, cap=cap)
-    return sweep.points(), sweep.closed, sweep.capped
+    return sweep, sweep.closed, sweep.capped
 
 
-def action_type(generators, L=8, cap=20000, unchecked=False):
+def action_type(generators, L=8, cap=20000):
     """Classify the action of the subgroup generated by `generators`.
 
     General type is never emitted: these ambient groups fix an end omega,
@@ -264,9 +260,9 @@ def action_type(generators, L=8, cap=20000, unchecked=False):
     so a generator (h, m) fixes xi0 iff (1 - alpha^m0) h = (1 - alpha^m) h0,
     which is the identity g0 * g == g * g0.  Each generator is tested once:
     no closure, word length, delta or horizon enters the verdict, and L is
-    only reported.  The verdict is exact on validated families; under
-    `unchecked` it rests on the family's own group law alone (the spoof
-    family's alpha = id makes every pair commute, so it reads lineal).
+    only reported.  The verdict is exact on validated families; on the
+    trusted copy of another it rests on the family's own group law alone
+    (the spoof family's alpha = id makes every pair commute: lineal).
 
     With every m = 0 the subgroup lies in H: horocyclic when a generator
     is certified unbounded, bounded when the closure of words of length
@@ -275,10 +271,10 @@ def action_type(generators, L=8, cap=20000, unchecked=False):
     if not generators:
         raise ValueError("need at least one generator")
     family = generators[0].family
+    _require_validated(family)
     g0 = next((g for g in generators if g.m != 0), None)
 
     if g0 is not None:
-        _require_validated(family, unchecked)
         witnesses = {"fixed_point_of": repr(g0)}
         mover = next((g for g in generators if g0 * g != g * g0), None)
         if mover is not None:
@@ -294,17 +290,17 @@ def action_type(generators, L=8, cap=20000, unchecked=False):
             exact=True,
             witnesses={"unbounded_generator": repr(certificate)},
         )
-    elems, closed, capped = _subgroup_closure(generators, L, cap)
-    diameter = int(pairwise_word_lengths([identity_point(family)], elems, unchecked=unchecked)[0].max())
+    sweep, closed, capped = _subgroup_closure(generators, L, cap)
+    diameter = int(_identity_row_lengths(family, sweep.law.basis, sweep.enc, sweep.ms).max())
     if closed:
         return ActionVerdict(
-            BOUNDED, L, exact=True, witnesses={"subgroup_order": len(elems), "orbit_diameter": diameter}
+            BOUNDED, L, exact=True, witnesses={"subgroup_order": len(sweep), "orbit_diameter": diameter}
         )
     return ActionVerdict(
         HOROCYCLIC,
         L,
         exact=False,
-        witnesses={"elements_seen": len(elems), "orbit_diameter": diameter},
+        witnesses={"elements_seen": len(sweep), "orbit_diameter": diameter},
         low_confidence=capped,
         complete=not capped,
     )
@@ -334,7 +330,7 @@ class SchottkyReport:
         return out
 
 
-def schottky_semigroup_check(a, b, L=10, unchecked=False):
+def schottky_semigroup_check(a, b, L=10):
     """Evaluate every positive word in {a, b} of length <= L; report
     injectivity of the evaluation and the tightest embedding constants
     between word length and d(1, value).  Each level is one Products call,
@@ -342,7 +338,7 @@ def schottky_semigroup_check(a, b, L=10, unchecked=False):
     on the same basis: no value is decoded."""
     if L > 14:
         raise ValueError("more than 2^14 words requested")
-    _require_validated(a.family, unchecked)
+    _require_validated(a.family)
     law = Products([a, b], L)
     enc, ms = law.encode([identity_point(a.family)])
     labels = [""]

@@ -36,9 +36,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _family(args):
     try:
-        return families.family_from_config(args.family)
+        family = families.family_from_config(args.family)
     except (KeyError, ValueError) as exc:
         raise CliError(f"bad family spec {args.family!r}: {exc}") from exc
+    return family.unchecked() if getattr(args, "unchecked", False) else family
 
 
 def _window(family, args):
@@ -208,8 +209,8 @@ def cmd_nf(args):
 def cmd_dist(args):
     family = _family(args)
     x = _parse_point(family, args.element)
-    length = words.word_length(x, unchecked=args.unchecked)
-    witness = words.geodesic_witness(x, unchecked=args.unchecked)
+    length = words.word_length(x)
+    witness = words.geodesic_witness(x)
     _emit(
         args,
         {
@@ -227,7 +228,7 @@ def cmd_classify(args):
     gens = [_parse_point(family, g) for g in args.generators] or [
         words.alpha_point(family, 1)
     ]
-    verdict = boundary.action_type(gens, L=args.horizon, unchecked=args.unchecked)
+    verdict = boundary.action_type(gens, L=args.horizon)
     isometries = [boundary.isometry_type(g, N=args.horizon * 4) for g in gens]
     payload = {
         "family": family.config(),
@@ -247,7 +248,7 @@ def cmd_classify(args):
 def cmd_beta(args):
     family = _family(args)
     x = _parse_point(family, args.element)
-    est = boundary.busemann_quasicharacter(x, N=args.horizon, unchecked=args.unchecked)
+    est = boundary.busemann_quasicharacter(x, N=args.horizon)
     payload = {"family": family.config(), "element": x.to_json(), "horizon": args.horizon}
     payload.update(est.as_dict())
     _emit(args, payload)
@@ -316,7 +317,7 @@ def cmd_schottky(args):
     family = _family(args)
     a = _parse_point(family, args.a)
     b = _parse_point(family, args.b)
-    report = boundary.schottky_semigroup_check(a, b, L=args.horizon, unchecked=args.unchecked)
+    report = boundary.schottky_semigroup_check(a, b, L=args.horizon)
     payload = {
         "family": family.config(),
         "a": a.to_json(),

@@ -10,6 +10,7 @@ by construction in all families.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,8 +39,17 @@ class GroupFamily:
     n0 = 0
     # Set once the closed-form a_length has been checked against the
     # brute-force windowed oracle (validate_a_length below); word_length
-    # refuses unvalidated families unless explicitly overridden.
+    # refuses unvalidated families unless the family is a trusted copy.
     a_length_validated = False
+    trusted = False
+
+    def unchecked(self):
+        """A copy whose a_length the word-length gates trust unvalidated.
+        It equals this family (same config), so their points mix; exact
+        verdicts still read a_length_validated alone."""
+        twin = copy.copy(self)
+        twin.trusted = True
+        return twin
 
     # -- group arithmetic ------------------------------------------------
     def identity(self):
@@ -252,12 +262,20 @@ class LamplighterBasis:
         return ~enc[:, outside].any(axis=1)
 
     def twisted_products(self, X, ms, S):
+        # Every row of S meets every shift, so all their lamps must fit.
+        occupied = np.flatnonzero(S.any(axis=0))
+        if occupied.size:
+            self._check_fits(occupied[0], occupied[-1], ms)
         padded, cols = self._twist(S, ms)
         out = X[:, None, :] + padded[:, cols].transpose(1, 0, 2)
         out %= self.q
         return out.reshape(-1, self.width)
 
     def twisted_sums(self, S, ts, word, count):
+        # Row r meets shift r alone, so only its own lamps must fit.
+        lit = S.any(axis=1)
+        lamps = S[lit] != 0
+        self._check_fits(lamps.argmax(axis=1), self.width - 1 - lamps[:, ::-1].argmax(axis=1), ts[lit])
         padded, cols = self._twist(S, ts)
         out = np.zeros((count, self.width), dtype=np.int64)
         # add.at is several times slower when it casts the digits itself.
@@ -269,14 +287,17 @@ class LamplighterBasis:
         """(S with a zero column appended, cols): row r of alpha^shift[r](s)
         reads padded S at columns cols[r], for any row s of S."""
         shift = shift if self.twisted else np.zeros_like(shift)
-        occupied = np.flatnonzero(S.any(axis=0))
-        if occupied.size and len(shift) and (occupied[0] + shift.min() < 0 or occupied[-1] + shift.max() >= self.width):
-            raise FamilyError("twisted lamps leave the basis")
         # Position lo + c of alpha^m(s) holds the digit of s at column c - m;
         # column `width` of the padded S is zero.
         cols = np.arange(self.width)[None, :] - shift[:, None]
         cols[(cols < 0) | (cols >= self.width)] = self.width
         return np.concatenate([S, np.zeros((len(S), 1), dtype=self.dtype)], axis=1), cols
+
+    def _check_fits(self, low, high, shift):
+        """Raise unless lamps at columns low..high, moved by shift, stay
+        inside the basis (alpha = id moves none)."""
+        if self.twisted and ((low + shift < 0) | (high + shift >= self.width)).any():
+            raise FamilyError("twisted lamps leave the basis")
 
     def a_factorize(self, G):
         # A row in A is its own one-letter factorization.

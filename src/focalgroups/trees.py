@@ -135,7 +135,7 @@ def basepoint_distances(basis, enc, ms):
     return 2 * np.maximum(np.maximum(lowest, -ms), 0) + ms
 
 
-def tree_qi_probe(family, count=200, max_len=8, seed=0, unchecked=False):
+def tree_qi_probe(family, count=200, max_len=8, seed=0):
     """Compare word length with orbit tree distance on sampled elements.
     The sample stays encoded on its own basis: the word lengths are its
     identity row, and the orbit distances are basepoint_distances."""
@@ -143,7 +143,7 @@ def tree_qi_probe(family, count=200, max_len=8, seed=0, unchecked=False):
     from .words import _identity_row_lengths, _require_validated, _sample_encoded
 
     basis, enc, ms = _sample_encoded(family, count, max_len, seed)
-    _require_validated(family, unchecked)
+    _require_validated(family)
     lengths = _identity_row_lengths(family, basis, enc, ms)
     _require_lamplighter(family)
     samples = set(zip(lengths.tolist(), basepoint_distances(basis, enc, ms).tolist()))

@@ -194,7 +194,7 @@ def k0_bound(n0):
 # ---------------------------------------------------------------------------
 
 
-def word_length(x, unchecked=False):
+def word_length(x):
     """Exact d_S(1, x) = min over i >= max(0, -m) of
     2i + m + a_length(alpha^i(h)), where x = (h, m).
 
@@ -202,13 +202,13 @@ def word_length(x, unchecked=False):
     the objective strictly increases because a_length(alpha(h)) <=
     a_length(h).  Finiteness is guaranteed by the confining union axiom.
     """
-    return _length_scan(x, unchecked)[0]
+    return _length_scan(x)[0]
 
 
-def _length_scan(x, unchecked):
+def _length_scan(x):
     """word_length's scan: (length, the first i attaining it, alpha^i(h))."""
     family = x.family
-    _require_validated(family, unchecked)
+    _require_validated(family)
     best, i = None, max(0, -x.m)
     g = family.alpha_pow(x.h, i)
     while True:
@@ -225,11 +225,11 @@ def _length_scan(x, unchecked):
             raise WordError("word_length failed to terminate; broken family?")
 
 
-def _require_validated(family, unchecked):
-    if not family.a_length_validated and not unchecked:
+def _require_validated(family):
+    if not (family.a_length_validated or family.trusted):
         raise UnvalidatedFamilyError(
             f"{family.name}: a_length has not been validated against the "
-            "brute-force oracle; pass unchecked=True to override"
+            "brute-force oracle; trust it with family.unchecked() (--unchecked)"
         )
 
 
@@ -244,7 +244,7 @@ PAIRS_PER_BLOCK = 1 << 16
 BALL_POINT_LIMIT = 10_000
 
 
-def pairwise_word_lengths(xs, ys, unchecked=False):
+def pairwise_word_lengths(xs, ys):
     """d(x, y) for every x in xs and y in ys, as an int64 array.
 
     word_length's closed form on all pairs at once: x^-1 y = (g, m) with
@@ -260,7 +260,7 @@ def pairwise_word_lengths(xs, ys, unchecked=False):
     family = xs[0].family
     if any(p.family != family for p in itertools.chain(xs, ys)):
         raise WordError("mixed families")
-    _require_validated(family, unchecked)
+    _require_validated(family)
     basis = family.basis([p.h for p in itertools.chain(xs, ys)], 1, 0)
     row_ms = np.array([x.m for x in xs], dtype=np.int64)
     order = np.argsort(row_ms, kind="stable")
@@ -342,16 +342,16 @@ def _identity_row_lengths(family, basis, enc, ms):
     return _encoded_word_lengths(basis, one, np.zeros(1, dtype=np.int64), enc, ms)[0]
 
 
-def geodesic_witness(x, unchecked=False):
+def geodesic_witness(x):
     """A word of length word_length(x) in normal-form shape evaluating to x."""
-    _, i, g = _length_scan(x, unchecked)
+    _, i, g = _length_scan(x)
     gs = x.family.a_factorize(g)
     return [ALPHA_INV] * i + [Gen(a) for a in gs] + [ALPHA] * (x.m + i)
 
 
-def distance(x, y, unchecked=False):
+def distance(x, y):
     """Word distance d(x, y) = |x^-1 y|."""
-    return word_length(x.inverse() * y, unchecked=unchecked)
+    return word_length(x.inverse() * y)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +422,9 @@ class Sweep:
     truncated: bool  # some product fell outside the window
     capped: bool  # the cap stopped the sweep
     closed: bool  # a level found nothing new before the cap or the last level
+
+    def __len__(self):
+        return len(self.ms)
 
     def points(self):
         return self.law.decode(self.enc, self.ms)
@@ -567,7 +570,7 @@ def _trusted_rows(law, enc, ms, window):
 # ---------------------------------------------------------------------------
 
 
-def ball_points(family, radius, window=None, sample=None, seed=0, unchecked=False):
+def ball_points(family, radius, window=None, sample=None, seed=0):
     """Points of B(radius), sorted by key, with exact pairwise distances.
 
     Exhaustive over the windowed slice of G by default (every window
@@ -584,7 +587,7 @@ def ball_points(family, radius, window=None, sample=None, seed=0, unchecked=Fals
     points' rows and columns in key order.  Returns (points,
     DistanceMatrix).
     """
-    _require_validated(family, unchecked)
+    _require_validated(family)
     if window is None:
         window = family.default_window(radius)
     if sample is None:

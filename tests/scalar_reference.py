@@ -62,7 +62,7 @@ def graph_distance_matrix(points, adjacency):
     return DistanceMatrix(points, np.array(rows, dtype=np.int64).reshape(n, n))
 
 
-def ball_points(family, radius, window=None, sample=None, seed=0, unchecked=False):
+def ball_points(family, radius, window=None, sample=None, seed=0):
     """words.ball_points with a GroupPoint per candidate: the identity row
     over the candidates filters them, and the kept points, sorted by key,
     give the whole matrix from a second pairwise_word_lengths call."""
@@ -73,9 +73,9 @@ def ball_points(family, radius, window=None, sample=None, seed=0, unchecked=Fals
         candidates = [GroupPoint(family, h, m) for h in family.iter_window(window) for m in levels]
     else:
         candidates = sample_points(family, sample, max_len=radius, seed=seed, window=window)
-    lengths = pairwise_word_lengths([identity_point(family)], candidates, unchecked=unchecked)[0]
+    lengths = pairwise_word_lengths([identity_point(family)], candidates)[0]
     pts = sorted((x for x, ell in zip(candidates, lengths) if ell <= radius), key=GroupPoint.key)
-    d = pairwise_word_lengths(pts, pts, unchecked=unchecked)
+    d = pairwise_word_lengths(pts, pts)
     ids = [x.key().decode() for x in pts]
     return pts, DistanceMatrix(ids, d)
 
@@ -185,9 +185,10 @@ def oracle_distance_matrix(res):
 def witness_in_window(x, window):
     """The oracle's trusted-set test, multiplying GroupPoints letter by
     letter along the geodesic witness."""
-    family = x.family
+    # The oracle is ungated, so it trusts every family's a_length.
+    family = x.family.unchecked()
     try:
-        letters = geodesic_witness(x, unchecked=True)
+        letters = geodesic_witness(GroupPoint(family, x.h, x.m))
     except FamilyError:
         return False
     pos = identity_point(family)
@@ -210,6 +211,7 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
     if window is None:
         window = family.default_window(6)
     a_window = list(family.iter_A_window(window))
+    trusted = family.unchecked()  # distortion_check is ungated
     rng = random.Random(seed)
     violations = []
     checked = 0
@@ -242,7 +244,7 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
                 batch.append(h)
         for h in batch:
             checked += 1
-            wl = word_length(h_point(family, h), unchecked=True)
+            wl = word_length(h_point(trusted, h))
             if wl > bound:
                 violations.append({"m": m, "h": family.format_h(h), "length": wl, "bound": bound})
     return DistortionReport(
@@ -279,7 +281,7 @@ def qi_embedding_check(samples):
     return QIReport(lam, max(c, Fraction(0)), len(samples), injective)
 
 
-def schottky(a, b, L, unchecked=False):
+def schottky(a, b, L):
     """(qi report dict, injective, words_checked, collision), one word at a time."""
     seen = {}
     samples = set()
@@ -297,7 +299,7 @@ def schottky(a, b, L, unchecked=False):
                     collision = (seen[key], wy)
                 if key not in seen:
                     seen[key] = wy
-                samples.add((len(wy), word_length(y, unchecked=unchecked)))
+                samples.add((len(wy), word_length(y)))
                 nxt.append((y, wy))
         frontier = nxt
     injective = collision is None
@@ -324,7 +326,7 @@ def sample_points(family, count, max_len=8, seed=0, window=None):
     return out
 
 
-def axis_distances(xs, unchecked=False):
+def axis_distances(xs):
     """boundary.axis_distance(x) for every x in xs, as an int64 array.
 
     One pairwise_word_lengths call against alpha^k for k in [min m, max m]
@@ -337,10 +339,10 @@ def axis_distances(xs, unchecked=False):
     family = xs[0].family
     ms = np.array([x.m for x in xs], dtype=np.int64)
     lo, hi = int(ms.min()), int(ms.max())
-    near = pairwise_word_lengths(xs, [alpha_point(family, k) for k in range(lo, hi + 1)], unchecked=unchecked)
+    near = pairwise_word_lengths(xs, [alpha_point(family, k) for k in range(lo, hi + 1)])
     reach = int(near[np.arange(len(xs)), ms - lo].max())
     axis = [alpha_point(family, k) for k in range(lo - reach, hi + reach + 1)]
-    return pairwise_word_lengths(xs, axis, unchecked=unchecked).min(axis=1)
+    return pairwise_word_lengths(xs, axis).min(axis=1)
 
 
 def fixes_fixed_point(g0, g):

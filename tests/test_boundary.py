@@ -253,9 +253,10 @@ class TestAxisDistances:
             axis_distances(xs)
         with pytest.raises(UnvalidatedFamilyError):
             action_type(xs)
-        assert axis_distances(xs, unchecked=True).tolist() == [axis_distance(x, unchecked=True) for x in xs]
+        trusted = [alpha_point(spoof.unchecked(), 1), h_point(spoof.unchecked(), spoof.lamp(0))]
+        assert axis_distances(trusted).tolist() == [axis_distance(x) for x in trusted]
         # alpha = id: every pair commutes, so the spoof verdict is lineal, not exact.
-        v = action_type(xs, unchecked=True)
+        v = action_type(trusted)
         assert v.kind == LINEAL and not v.exact
 
 

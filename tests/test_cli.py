@@ -556,6 +556,14 @@ STDOUT_SHA256 = [
         "85292b7d0a23823aefc474b7fcf94ace13ed24cb7092671ba23037f64bbd1b2b",
     ),
     (["ball", "--family", "lamplighter:2", "--radius", "3", "--format", "dot"], "dc60f59ce679e6ea421a46536abcbc92234748185fc84e9a1790313933d23280"),
+    (["dist", "--family", "spoof-identity:2", "--unchecked", "g{0:1}"], "32e0aac787ca3bd3ce3f7e46e92e6288909abe610b068bf6312ac64312d413fc"),
+    (["beta", "--family", "spoof-identity:2", "--unchecked", "g{0:1}"], "677e4107593d3a7f805a24d33ffb15f16d9873b158cebff72543de4b82ab2322"),
+    (["classify", "--family", "spoof-identity:2", "--unchecked", "a+", "g{0:1}"], "7a37b6947dccaa3b5d238509f5f790301fe4525fa4debd09df0abd291b3701b8"),
+    (["classify", "--family", "spoof-identity:2", "--unchecked", "g{0:1}"], "341066ff0f57ab6647b8fd95bce76071bc04f01c01777c10c07b16b11899b1c9"),
+    (
+        ["schottky", "--family", "spoof-identity:2", "--unchecked", "a+", "a+ g{0:1}", "--horizon", "4"],
+        "abc62e2726e8ea81a56a60f79e2479ad3e74f8fdf331d37460be51ad12d735b8",
+    ),
 ]
 
 

@@ -28,7 +28,7 @@ from focalgroups.families import (
     ProductWindow,
     SpoofIdentityFamily,
 )
-from focalgroups import boundary, words
+from focalgroups import words
 from focalgroups.words import (
     GroupPoint,
     Products,
@@ -116,6 +116,18 @@ class TestBatchedProducts:
         with pytest.raises(FamilyError):
             nlaw.encode([h_point(N2, Fraction(1, 8))])
 
+    def test_sums_check_each_row_against_its_own_shift(self):
+        # Row 0's lamp at 0 moves up by 4 and row 1's lamp at 4 stays: each
+        # fits, though the union of their lamps with shift 4 would not.
+        basis = LamplighterBasis(2, 0, 4)
+        S = np.array([[1, 0, 0, 0, 0], [0, 0, 0, 0, 1]], dtype=np.uint8)
+        got = basis.twisted_sums(S, np.array([4, 0]), np.array([0, 1]), 2)
+        assert got.tolist() == [[0, 0, 0, 0, 1]] * 2
+        with pytest.raises(FamilyError):
+            basis.twisted_sums(S, np.array([0, 1]), np.array([0, 1]), 2)
+        with pytest.raises(FamilyError):
+            basis.twisted_products(np.zeros((2, 5), dtype=np.uint8), np.array([4, 0]), S)
+
 
 class TestScalarGroupLaw:
     @pytest.mark.parametrize("spec", sorted(LAWS))
@@ -162,7 +174,9 @@ CLOSURES = {
 
 
 def same_closure(got, want):
-    (elems, closed, capped), (ref_elems, ref_closed, ref_capped) = got, want
+    (sweep, closed, capped), (ref_elems, ref_closed, ref_capped) = got, want
+    elems = sweep.points()
+    assert len(sweep) == len(ref_elems)
     assert [x.key() for x in elems] == [x.key() for x in ref_elems]
     assert elems == ref_elems
     assert (closed, capped) == (ref_closed, ref_capped)
@@ -283,7 +297,7 @@ class TestTrustedSet:
     def test_matches_scalar_walk(self, spec, data):
         # The batched walk trusts exactly the points whose witness the
         # GroupPoint walk keeps inside the window; the oracle never asks
-        # for validation, so the spoof runs as under unchecked.
+        # for validation, so the spoof runs as its trusted copy would.
         family, radii, windows = TRUSTED[spec]
         radius = data.draw(radii, label="radius")
         window = data.draw(windows(radius), label="window")
@@ -320,7 +334,7 @@ class TestTrustedSet:
         got = bfs_oracle(family, window, radius=radius)
 
         def inside(x):
-            i = words._length_scan(x, False)[1]
+            i = words._length_scan(x)[1]
             return family.in_window(x.h + family.alpha_pow(Fraction(1), -i), window)
 
         assert got.trusted == {k for k in want.trusted if inside(want.points[k])} < want.trusted
@@ -456,21 +470,21 @@ class TestSchottky:
 
     @pytest.mark.parametrize("name", sorted(SCHOTTKY))
     def test_levels_stay_encoded(self, name, monkeypatch):
-        # Each level's lengths come from its encoded rows: neither a decode
-        # nor a fresh pairwise_word_lengths basis.
+        # Each level's lengths come from its encoded rows, not a decode.
         def refuse(*args, **kwargs):
             raise AssertionError("a Schottky level left the encoding")
 
         monkeypatch.setattr(words.Products, "decode", refuse)
-        monkeypatch.setattr(boundary, "pairwise_word_lengths", refuse)
         self.test_matches_scalar_loop(name)
 
     def test_spoof_needs_unchecked(self):
         a, b = alpha_point(SPOOF, 1), alpha_point(SPOOF, 1) * h_point(SPOOF, SPOOF.lamp(0))
         with pytest.raises(UnvalidatedFamilyError):
             schottky_semigroup_check(a, b, L=3)
-        report, injective, count, collision = ref.schottky(a, b, 6, unchecked=True)
-        got = schottky_semigroup_check(a, b, L=6, unchecked=True)
+        trusted = SPOOF.unchecked()
+        a, b = alpha_point(trusted, 1), alpha_point(trusted, 1) * h_point(trusted, SPOOF.lamp(0))
+        report, injective, count, collision = ref.schottky(a, b, 6)
+        got = schottky_semigroup_check(a, b, L=6)
         assert (got.report.as_dict(), got.injective, got.words_checked, got.collision) == (
             report,
             injective,

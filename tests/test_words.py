@@ -204,7 +204,18 @@ class TestWordLength:
         x = h_point(spoof, spoof.lamp(0))
         with pytest.raises(UnvalidatedFamilyError):
             word_length(x)
-        assert word_length(x, unchecked=True) == 1
+        assert word_length(h_point(spoof.unchecked(), spoof.lamp(0))) == 1
+
+    def test_trusted_copy_is_the_same_family(self):
+        # Trust travels with the copy alone: it equals the family, so their
+        # points mix, and the family itself stays gated.
+        spoof = SpoofIdentityFamily(2)
+        trusted = spoof.unchecked()
+        assert trusted == spoof and hash(trusted) == hash(spoof) and trusted.config() == spoof.config()
+        with pytest.raises(UnvalidatedFamilyError):
+            word_length(h_point(spoof, spoof.lamp(0)))
+        x = h_point(trusted, spoof.lamp(0))
+        assert word_length(x) == 1 and x == h_point(spoof, spoof.lamp(0))
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
     def test_left_invariance(self, family):
@@ -258,7 +269,7 @@ class TestGeodesicWitness:
         x = h_point(spoof, spoof.lamp(0))
         with pytest.raises(UnvalidatedFamilyError):
             geodesic_witness(x)
-        assert format_word(spoof, geodesic_witness(x, unchecked=True)) == "g{0:1}"
+        assert format_word(spoof, geodesic_witness(h_point(spoof.unchecked(), spoof.lamp(0)))) == "g{0:1}"
 
 
 class TestBfsOracle:
@@ -295,8 +306,8 @@ class TestBfsOracle:
             assert res.dist[key] >= word_length(x)
 
 
-def scalar_matrix(xs, ys, unchecked=False):
-    return np.array([[distance(x, y, unchecked=unchecked) for y in ys] for x in xs], dtype=np.int64)
+def scalar_matrix(xs, ys):
+    return np.array([[distance(x, y) for y in ys] for x in xs], dtype=np.int64)
 
 
 def lamp_configs(q, lo=-8, hi=8):
@@ -349,10 +360,10 @@ class TestPairwiseWordLengths:
         # Blocks of a few rows, taken in order of m, scattered back in place,
         # all against one encoding of the columns.
         monkeypatch.setattr(words, "PAIRS_PER_BLOCK", 100)
-        pts = sample_points(family, 60, max_len=7, seed=21, window=window)
-        unchecked = not family.a_length_validated
-        got = pairwise_word_lengths(pts, pts, unchecked=unchecked)
-        assert np.array_equal(got, scalar_matrix(pts, pts, unchecked=unchecked))
+        # The trusted copy lets the unvalidated spoof through the gates.
+        pts = sample_points(family.unchecked(), 60, max_len=7, seed=21, window=window)
+        got = pairwise_word_lengths(pts, pts)
+        assert np.array_equal(got, scalar_matrix(pts, pts))
 
     @pytest.mark.parametrize("spec", sorted(H_STRATEGIES))
     @given(data=st.data())
@@ -365,7 +376,7 @@ class TestPairwiseWordLengths:
         one, zero = basis.encode([family.identity()]), np.zeros(1, dtype=np.int64)
         ms = np.array([x.m for x in xs], dtype=np.int64)
         lengths, first = words._block_word_lengths(basis, one, zero, basis.encode([x.h for x in xs]), ms, first=True)
-        assert list(zip(lengths[0].tolist(), first[0].tolist())) == [words._length_scan(x, False)[:2] for x in xs]
+        assert list(zip(lengths[0].tolist(), first[0].tolist())) == [words._length_scan(x)[:2] for x in xs]
 
     def test_identity_row_is_word_length(self):
         pts = sample_points(N2, 40, max_len=7, seed=3)
@@ -410,12 +421,13 @@ class TestPairwiseWordLengths:
         # alpha = id: pairs whose quotient lies in A match the scalar path,
         # which a lamplighter shift by m would not.
         spoof = SpoofIdentityFamily(2)
-        pts = [GroupPoint(spoof, spoof.lamp(p), m) for p in (0, 1, 2) for m in (-3, 0, 2)]
-        pts.append(GroupPoint(spoof, (), 1))
-        got = pairwise_word_lengths(pts, pts, unchecked=True)
-        assert np.array_equal(got, scalar_matrix(pts, pts, unchecked=True))
+        trusted = spoof.unchecked()
+        pts = [GroupPoint(trusted, spoof.lamp(p), m) for p in (0, 1, 2) for m in (-3, 0, 2)]
+        pts.append(GroupPoint(trusted, (), 1))
+        got = pairwise_word_lengths(pts, pts)
+        assert np.array_equal(got, scalar_matrix(pts, pts))
         with pytest.raises(UnvalidatedFamilyError):
-            pairwise_word_lengths(pts, pts)
+            pairwise_word_lengths([GroupPoint(spoof, x.h, x.m) for x in pts], pts)
 
 
 def into_A(family, h):
@@ -515,7 +527,7 @@ class TestBallPoints:
             ball_points(spoof, 2)
         start = time.perf_counter()
         with pytest.raises(WordError):
-            ball_points(spoof, 2, unchecked=True)
+            ball_points(spoof.unchecked(), 2)
         assert time.perf_counter() - start < 5
 
     def test_above_the_point_limit_raises(self, monkeypatch):
