@@ -204,11 +204,10 @@ class TestWordLength:
         x = h_point(spoof, spoof.lamp(0))
         with pytest.raises(UnvalidatedFamilyError):
             word_length(x)
-        assert word_length(h_point(spoof.unchecked(), spoof.lamp(0))) == 1
 
     def test_trusted_copy_is_the_same_family(self):
         # Trust travels with the copy alone: it equals the family, so their
-        # points mix, and the family itself stays gated.
+        # points mix, and the family itself stays gated after the copy.
         spoof = SpoofIdentityFamily(2)
         trusted = spoof.unchecked()
         assert trusted == spoof and hash(trusted) == hash(spoof) and trusted.config() == spoof.config()
