@@ -262,20 +262,14 @@ class LamplighterBasis:
         return ~enc[:, outside].any(axis=1)
 
     def twisted_products(self, X, ms, S):
-        # Every row of S meets every shift, so all their lamps must fit.
-        occupied = np.flatnonzero(S.any(axis=0))
-        if occupied.size:
-            self._check_fits(occupied[0], occupied[-1], ms)
+        self._check_fits(S.any(axis=0, keepdims=True), ms)  # every row meets every shift
         padded, cols = self._twist(S, ms)
         out = X[:, None, :] + padded[:, cols].transpose(1, 0, 2)
         out %= self.q
         return out.reshape(-1, self.width)
 
     def twisted_sums(self, S, ts, word, count):
-        # Row r meets shift r alone, so only its own lamps must fit.
-        lit = S.any(axis=1)
-        lamps = S[lit] != 0
-        self._check_fits(lamps.argmax(axis=1), self.width - 1 - lamps[:, ::-1].argmax(axis=1), ts[lit])
+        self._check_fits(S, ts)
         padded, cols = self._twist(S, ts)
         out = np.zeros((count, self.width), dtype=np.int64)
         # add.at is several times slower when it casts the digits itself.
@@ -293,10 +287,12 @@ class LamplighterBasis:
         cols[(cols < 0) | (cols >= self.width)] = self.width
         return np.concatenate([S, np.zeros((len(S), 1), dtype=self.dtype)], axis=1), cols
 
-    def _check_fits(self, low, high, shift):
-        """Raise unless lamps at columns low..high, moved by shift, stay
-        inside the basis (alpha = id moves none)."""
-        if self.twisted and ((low + shift < 0) | (high + shift >= self.width)).any():
+    def _check_fits(self, S, shift):
+        """Raise unless the lamps of each row r of S, moved by shift[r],
+        stay inside the basis; a single row meets every shift."""
+        lamps = S != 0
+        low, high = lamps.argmax(axis=1), self.width - 1 - lamps[:, ::-1].argmax(axis=1)
+        if self.twisted and (lamps.any(axis=1) & ((low + shift < 0) | (high + shift >= self.width))).any():
             raise FamilyError("twisted lamps leave the basis")
 
     def a_factorize(self, G):
