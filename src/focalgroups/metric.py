@@ -181,6 +181,12 @@ class DeltaReport:
         }
 
 
+# The longest prefix whose levels 2j and 2j - 1 share one product: its
+# operand entries 1 + k still fit uint8, and every sum of the product is an
+# integer below k (k + 1)**2 < 2**24, so float32 holds it exactly.
+PAIRED_PREFIX_LIMIT = 254
+
+
 def _defect2_at(d, xs):
     """Twice the four-point constant at each basepoint x in `xs`: the
     largest min(g[y,w], g[w,z]) - g[y,z] over y, z, w, where g = d[x,:,None]
@@ -207,6 +213,20 @@ def _defect2_at(d, xs):
     equivalence relation on its points, as at every level of a tree: then
     the product reaches only the pairs with g >= v, none of which beats 0.
 
+    Levels 2j and 2j - 1 have the same prefixes, because 2 d(x,.) is even,
+    and when both are present they share one product over the live set of
+    2j, which holds that of 2j - 1.  With k the prefix length and
+    B = [g >= 2j - 1] + k [g >= 2j], every term of B @ B is 0, 1, k + 1 or
+    (k + 1)**2, so the pairs reached at 2j are those with a sum of at least
+    (k + 1)**2 (k terms below it add up to at most k (k + 1)) and those
+    reached at 2j - 1 the nonzero ones.  Every partial sum is an integer at
+    most k (k + 1)**2 < 2**24, so float32 is exact whatever order the
+    matmul adds in, for k up to PAIRED_PREFIX_LIMIT; longer prefixes and
+    unpaired levels run one product per level.  Level 2j updates the
+    defects first, and level 2j - 1 then beats the updated ones (a
+    basepoint no longer live there has none to beat).  A basepoint skips
+    the shared product only when both masks are equivalence relations.
+
     g is held in the smallest signed integer type that holds 2 max d, and
     a level only looks for its best pair at the live basepoints where some
     reached pair beats the defect found so far; there the pair is the
@@ -220,43 +240,68 @@ def _defect2_at(d, xs):
     g = dx[:, :, None] + dx[:, None, :] - np.stack([d[o][:, o] for o in order])
     present = np.zeros(top + 1, dtype=bool)
     present[g.ravel()] = True
-    levels = np.flatnonzero(present)[::-1]
+    levels = np.flatnonzero(present)[::-1].tolist()
     prefix = (2 * dx[:, :, None] >= levels).sum(axis=1)
-    gmin, rows = int(levels[-1]), np.arange(len(xs))
+    gmin, rows = levels[-1], np.arange(len(xs))
     best = np.zeros(len(xs), dtype=np.int64)
     y = np.zeros(len(xs), dtype=np.intp)
     z = np.zeros(len(xs), dtype=np.intp)
-    for v, ks in zip(levels.tolist(), prefix.T):
-        if v - gmin <= best.min():
-            break
+    i = 0
+    while i < len(levels) and levels[i] - gmin > best.min():
+        v, ks = levels[i], prefix[:, i]
         live = np.flatnonzero((ks >= 2) & (v - gmin > best))
+        k = int(ks[live].max(initial=0))
+        paired = v % 2 == 0 and levels[i + 1 : i + 2] == [v - 1] and k <= PAIRED_PREFIX_LIMIT
+        i += 1 + paired
         if not live.size:
             continue
-        k = int(ks[live].max())
         gk = g[live, :k, :k]
-        b = gk >= v
-        t = np.flatnonzero(best[live] == 0)
-        if t.size:
-            # Each row of an equivalence relation equals the row of its
-            # first member (rows past a basepoint's own prefix are empty).
-            bt = b[t] if len(t) < len(live) else b
-            first = bt.argmax(axis=2) + k * np.arange(len(t))[:, None]
-            same = (bt == bt.reshape(-1, k)[first.ravel()].reshape(bt.shape)).all(axis=2)
-            closed = t[(same | ~np.diagonal(bt, axis1=1, axis2=2)).all(axis=1)]
-            if closed.size:
-                keep = np.ones(len(live), dtype=bool)
-                keep[closed] = False
-                live, gk, b = live[keep], gk[keep], b[keep]
-        b = b.astype(np.float32)
-        reached = np.matmul(b, b) > 0
-        beats = reached & (gk < (v - best[live]).astype(g.dtype)[:, None, None])
-        i = np.flatnonzero(beats.any(axis=(1, 2)))
-        low = np.where(reached[i], gk[i], v).reshape(len(i), k * k)
-        at = low.argmin(axis=1)
-        i = live[i]
-        best[i] = v - low[np.arange(len(i)), at]
-        y[i], z[i] = np.divmod(at, k)
+        masks = (gk >= v, gk >= v - 1) if paired else (gk >= v,)
+        closed = _equivalences(masks, np.flatnonzero(best[live] == 0))
+        if closed.size:
+            keep = np.ones(len(live), dtype=bool)
+            keep[closed] = False
+            live, gk, masks = live[keep], gk[keep], [b[keep] for b in masks]
+        if paired:
+            hi, lo = masks
+            b = (lo.view(np.uint8) + hi.view(np.uint8) * np.uint8(k)).astype(np.float32)
+            s = np.matmul(b, b)
+            _raise_defects(v, live, gk, s >= (k + 1) ** 2, best, y, z)
+            _raise_defects(v - 1, live, gk, s > 0, best, y, z)
+        else:
+            b = masks[0].astype(np.float32)
+            _raise_defects(v, live, gk, np.matmul(b, b) > 0, best, y, z)
     return best, np.stack([order[rows, y], order[rows, z]], axis=1)
+
+
+def _equivalences(masks, t):
+    """The rows t of the stacked boolean masks at which every mask is an
+    equivalence relation on the points of its diagonal: each row equals
+    the row of its first member (rows past a basepoint's own prefix are
+    empty)."""
+    for b in masks:
+        if not t.size:
+            break
+        k = b.shape[-1]
+        bt = b[t] if len(t) < len(b) else b
+        first = bt.argmax(axis=2) + k * np.arange(len(t))[:, None]
+        same = (bt == bt.reshape(-1, k)[first.ravel()].reshape(bt.shape)).all(axis=2)
+        t = t[(same | ~np.diagonal(bt, axis1=1, axis2=2)).all(axis=1)]
+    return t
+
+
+def _raise_defects(v, live, gk, reached, best, y, z):
+    """Level v's update: where a pair reached at basepoint live[j] beats
+    its defect, the defect becomes v - g[y,z] at the first reached pair of
+    least g, and (y, z) that pair."""
+    k = gk.shape[-1]
+    beats = reached & (gk < (v - best[live]).astype(gk.dtype)[:, None, None])
+    i = np.flatnonzero(beats.any(axis=(1, 2)))
+    low = np.where(reached[i], gk[i], v).reshape(len(i), k * k)
+    at = low.argmin(axis=1)
+    i = live[i]
+    best[i] = v - low[np.arange(len(i)), at]
+    y[i], z[i] = np.divmod(at, k)
 
 
 def four_point_delta(

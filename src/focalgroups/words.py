@@ -260,7 +260,9 @@ def pairwise_word_lengths(xs, ys):
     family = xs[0].family
     if any(p.family != family for p in itertools.chain(xs, ys)):
         raise WordError("mixed families")
-    _require_validated(family)
+    # A trusted copy equals its family, so each family object is gated.
+    for f in {id(p.family): p.family for p in itertools.chain(xs, ys)}.values():
+        _require_validated(f)
     basis = family.basis([p.h for p in itertools.chain(xs, ys)], 1, 0)
     row_ms = np.array([x.m for x in xs], dtype=np.int64)
     order = np.argsort(row_ms, kind="stable")

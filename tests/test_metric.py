@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from focalgroups import families
 from focalgroups.metric import (
     DistanceMatrix,
+    PAIRED_PREFIX_LIMIT,
     MetricError,
     delta_within_bound,
     four_point_delta,
@@ -202,8 +203,10 @@ class TestGromovProduct:
 
 # The benchmark's ball matrices (its four certificate balls and the
 # nadic:2 oracle window taken as a ball; the lamplighter:2 oracle window is
-# the r5 ball's) and the T3 x T4 radius-3 millefeuille, where delta = 0
-# makes the kernel scan every level.
+# the r5 ball's), the T3 x T4 radius-3 millefeuille, where delta = 0
+# makes the kernel scan every level, and the nadic:3 radius-3 ball, whose
+# prefixes (55, 197, 381, 472 at the basepoints below) run paired levels
+# below PAIRED_PREFIX_LIMIT and single ones above it in one call.
 KERNEL_MATRICES = {
     "lamplighter2-r4": ("lamplighter:2", 4, None),
     "lamplighter2-r5-window": ("lamplighter:2", 5, families.LamplighterWindow(-2, 2, 5)),
@@ -214,6 +217,7 @@ KERNEL_MATRICES = {
         families.ProductWindow(families.LamplighterWindow(-1, 1, 2), families.NadicWindow(1, 1, 2), 2),
     ),
     "nadic2-r5-window": ("nadic:2", 5, families.NadicWindow(2, 2, 5)),
+    "nadic3-r3": ("nadic:3", 3, None),
     "millefeuille-T3xT4-r3": None,
 }
 
@@ -319,6 +323,15 @@ class TestFourPointDelta:
         xs = [centre, *np.random.default_rng(0).choice(n, 3, replace=False).tolist()]
         got, want = _defect2_at(D.d, xs), ref.defect2_at(D.d, xs)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_paired_kernel_sums_are_exact_at_the_limit(self):
+        # Every entry of B at its largest, 1 + k (the most uint8 holds): each
+        # sum of B @ B is k (k + 1)**2, the largest a paired product can
+        # reach, and float32 must hold it and every partial sum exactly.
+        k = PAIRED_PREFIX_LIMIT
+        b = np.full((2, k, k), np.uint8(k + 1)).astype(np.float32)
+        assert (np.matmul(b, b) == k * (k + 1) ** 2).all()
+        assert k * (k + 1) ** 2 < 2**24 and k + 1 == np.iinfo(np.uint8).max
 
     @pytest.mark.parametrize(
         "key, interval",

@@ -428,6 +428,19 @@ class TestPairwiseWordLengths:
         with pytest.raises(UnvalidatedFamilyError):
             pairwise_word_lengths([GroupPoint(spoof, x.h, x.m) for x in pts], pts)
 
+    @pytest.mark.parametrize("trusted_first", [True, False])
+    def test_trusted_copy_mixed_with_spoof_raises(self, trusted_first):
+        # The trusted copy equals the spoof, so only a gate on every family
+        # object among both sides refuses the mix, in either order.
+        spoof = SpoofIdentityFamily(2)
+        trusted = [GroupPoint(spoof.unchecked(), spoof.lamp(p), 0) for p in (0, 1)]
+        untrusted = [GroupPoint(spoof, spoof.lamp(p), 1) for p in (0, 1)]
+        xs, ys = (trusted, untrusted) if trusted_first else (untrusted, trusted)
+        with pytest.raises(UnvalidatedFamilyError):
+            pairwise_word_lengths(xs, ys)
+        with pytest.raises(UnvalidatedFamilyError):
+            pairwise_word_lengths(xs + ys, xs)
+
 
 def into_A(family, h):
     # The first alpha^k(h) in A, which the confining union axiom provides.
