@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from focalgroups import families
 from focalgroups.metric import (
     DistanceMatrix,
-    PAIRED_PREFIX_LIMIT,
     MetricError,
+    PAIRED_PREFIX_LIMIT,
     delta_within_bound,
     four_point_delta,
     graph_distance_matrix,
