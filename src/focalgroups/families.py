@@ -219,13 +219,22 @@ class LamplighterBasis:
     Every basis also runs the pair word-length kernel: pair_a_lengths(R,
     row_ms, C) gives a_length on the grid of pair quotients g_ij =
     alpha^-m_i(h_i^-1 h_j), with row i the encoded h_i (row_ms an int64
-    array) and column j the encoded h_j.  It returns (settle, lengths):
-    settle[i, j] is the least k with a_length(alpha^k g_ij) <= 1,
+    array) and column j the encoded h_j.  It returns (settle, knee,
+    lengths): settle[i, j] is the least k with a_length(alpha^k g_ij) <= 1,
     -ARRAY_INF when g_ij is the identity and ARRAY_INF when no k exists;
-    lengths(k) takes an int64 array k of the grid's shape, k_ij >= 0, and
-    returns a new array of a_length(alpha^k_ij g_ij), with ARRAY_INF for
-    INF.
+    knee[i, j] is the least k from which one more alpha step no longer
+    lowers 2k + a_length(alpha^k g_ij), which may be negative (-ARRAY_INF
+    for the identity, ARRAY_INF with settle).  Since alpha compacts, the
+    cost is convex in k, so for k >= 0 the knee, or k itself when it lies
+    past the knee, is the first k' >= k of least cost.  lengths(k) takes an
+    int64 array k of the grid's shape, k_ij >= 0, and returns a new array
+    of a_length(alpha^k_ij g_ij), with ARRAY_INF for INF.  knee_bounds =
+    (cap, pay): a_length is at most cap at every knee and at least pay one
+    step before it.
     """
+
+    # INF up to settle, then 1 (0 for the identity).
+    knee_bounds = (1, ARRAY_INF)
 
     def __init__(self, q, lo, hi, twisted=True):
         self.q, self.lo, self.hi, self.twisted = q, lo, hi, twisted
@@ -311,11 +320,13 @@ class LamplighterBasis:
         # a_length(alpha^k g_ij) is 0 for the identity, else 1 or INF as the
         # least lamp position floor_ij - m_i + k is >= 0 or not.  With alpha
         # = id there is no shift by m_i, and outside A it is INF for ever.
+        # Every step up to settle pays (INF to 1) and none after it does, so
+        # the knee is settle.
         if self.twisted:
             settle = np.where(nonempty, row_ms[:, None] - floor, -ARRAY_INF)
         else:
             settle = np.where(floor >= 0, -ARRAY_INF, ARRAY_INF)
-        return settle, lambda k: np.where(k >= settle, nonempty, ARRAY_INF)
+        return settle, settle, lambda k: np.where(k >= settle, nonempty, ARRAY_INF)
 
 
 class NadicBasis:
@@ -329,6 +340,10 @@ class NadicBasis:
         self.n, self.dpow, self.dtype = n, dpow, dtype
         self.scale = n**dpow
         self.powers = np.array([n**s for s in range(shift + 1)], dtype=dtype)
+        # One alpha step lowers a_length L to ceil(L / n), which pays (2k
+        # grows by 2) exactly while L > cap.
+        cap = {2: 5, 3: 4}.get(n, 3)
+        self.knee_bounds = (cap, cap + 1)
 
     def encode(self, hs):
         out = []
@@ -411,6 +426,15 @@ class NadicBasis:
         for s in range(top):
             least += a > powers[s]
         settle = np.where(a == 0, -ARRAY_INF, least + row_ms[:, None] - dpow)
+        # With L = ceil(a / n^e), the knee is the least e with L <= cap.
+        # With j the least exponent with n^j > cap, that is least - j + 1
+        # (there L <= n^(j - 1) <= cap) or, when a <= cap n^(least - j),
+        # least - j: one threshold per value of least, clipped at amax,
+        # which no a passes.
+        cap = self.knee_bounds[0]
+        j = next(j for j in itertools.count(1) if n**j > cap)
+        thresholds = np.array([min(amax, cap * n**t // n**j) for t in range(top + 1)], dtype=dtype)
+        knee = np.where(a == 0, -ARRAY_INF, settle - j + (a > thresholds[least]))
 
         def lengths(k):
             e = np.minimum(dpow + k - row_ms[:, None], top)
@@ -420,11 +444,15 @@ class NadicBasis:
             out //= down
             return out
 
-        return settle, lengths
+        return settle, knee, lengths
 
 
 class ProductBasis:
     """The two factor encodings side by side, as a pair of arrays."""
+
+    # No cap of its own at a knee; one step before it the cost is higher,
+    # so a_length exceeds its value at the knee by 3 or more.
+    knee_bounds = (ARRAY_INF, 3)
 
     def __init__(self, left, right):
         self.left, self.right = left, right
@@ -462,10 +490,29 @@ class ProductBasis:
 
     def pair_a_lengths(self, R, row_ms, C):
         # a_length is the max of the component lengths, so it is <= 1 from
-        # the later of the two components' settling indices on.
-        s1, l1 = self.left.pair_a_lengths(R[0], row_ms, C[0])
-        s2, l2 = self.right.pair_a_lengths(R[1], row_ms, C[1])
-        return np.maximum(s1, s2), lambda k: np.maximum(l1(k), l2(k))
+        # the later of the two components' settling indices on.  The cost is
+        # the max of the components' convex costs, so it is convex and no
+        # longer falls from the later knee on; but it may not fall into that
+        # knee either, so the knee steps back while the exponent before it
+        # costs no more (never below 0, where no caller looks).  A first step
+        # back from factor A's knee needs the other factor's length, at most
+        # its cap, plus 2 to reach A's length there, at least A's pay; when
+        # neither factor's can, the later knee is the first minimum.
+        s1, k1, l1 = self.left.pair_a_lengths(R[0], row_ms, C[0])
+        s2, k2, l2 = self.right.pair_a_lengths(R[1], row_ms, C[1])
+
+        def lengths(k):
+            return np.maximum(l1(k), l2(k))
+
+        (cap1, pay1), (cap2, pay2) = self.left.knee_bounds, self.right.knee_bounds
+        knee = np.maximum(k1, k2)
+        back = (knee > 0) & (knee < ARRAY_INF) & (cap2 + 2 >= pay1 or cap1 + 2 >= pay2)
+        while back.any():
+            here, before = lengths(np.where(back, knee, 0)), lengths(np.where(back, knee - 1, 0))
+            back &= before <= here + 2
+            knee -= back
+            back &= knee > 0
+        return np.maximum(s1, s2), knee, lengths
 
 
 def _identity_rows(enc):
@@ -1090,7 +1137,7 @@ def verify_confining(family, window=None, exhaust_depth=8, max_elements=100000):
 
     def outside_A(R, row_ms, C, n_cols, k):
         # Row-major indices of the pairs with alpha^k(g_ij) outside A.
-        _, lengths = basis.pair_a_lengths(R, row_ms, C)
+        _, _, lengths = basis.pair_a_lengths(R, row_ms, C)
         return np.flatnonzero(lengths(np.full((len(row_ms), n_cols), k, dtype=np.int64)) > 1)
 
     n = len(a_window)
@@ -1105,7 +1152,7 @@ def verify_confining(family, window=None, exhaust_depth=8, max_elements=100000):
             report.strict_witness = family.format_h(a_window[outside[0]])
 
     if elements:
-        settle, _ = basis.pair_a_lengths(one, zero, basis.encode(elements))
+        settle, _, _ = basis.pair_a_lengths(one, zero, basis.encode(elements))
         unabsorbed = np.flatnonzero(settle[0] > exhaust_depth) if exhaust_depth >= 0 else range(len(elements))
         room = 6 - len(report.absorption_failures)
         for i in unabsorbed[:room]:

@@ -25,6 +25,11 @@ _speedups = None
 USE_SPEEDUPS = False
 
 EXHAUSTIVE_CUTOFF = 64
+# Entries per array temporary in the batched kernels, whatever the size of
+# the input: pairs per block of rows in words._encoded_word_lengths, products
+# per block of frontier rows in words.breadth_first, and float32 operand
+# entries per chunk of basepoints in _defect2_at (at least one basepoint).
+PAIRS_PER_BLOCK = 1 << 16
 # Basepoints drawn besides the centre above the exhaustive cutoff.
 SEEDED_BASEPOINTS = 1
 
@@ -35,13 +40,19 @@ class MetricError(ValueError):
 
 @dataclass
 class DistanceMatrix:
-    """Symmetric integer distances over an ordered finite point set."""
+    """Symmetric integer distances over an ordered finite point set.
+
+    d keeps any signed integer type it is given (ball matrices come in the
+    smallest one that holds their distances); anything else becomes int64.
+    Sums of distances are taken in int64."""
 
     points: list
     d: np.ndarray
 
     def __post_init__(self):
-        self.d = np.asarray(self.d, dtype=np.int64)
+        self.d = np.asarray(self.d)
+        if self.d.dtype.kind != "i":
+            self.d = self.d.astype(np.int64)
         if self.d.shape != (len(self.points), len(self.points)):
             raise MetricError("distance matrix shape does not match the point list")
         self._index = {p: i for i, p in enumerate(self.points)}
@@ -71,7 +82,7 @@ class DistanceMatrix:
             raise MetricError("asymmetric distances")
         n = len(self.points)
         for k in range(n):
-            if (d > d[:, k, None] + d[None, k, :]).any():
+            if (d > d[:, k, None].astype(np.int64) + d[None, k, :]).any():
                 raise MetricError("triangle inequality fails")
         return self
 
@@ -110,8 +121,8 @@ def graph_distance_matrix(points, adjacency) -> DistanceMatrix:
     so each level ORs the frontier rows of v's neighbours, one padded
     neighbour slot at a time, keeps the bits not seen before, and adds one
     to every pair still unreached: a pair first reached at level L ends
-    at L.  Levels are counted in the smallest signed type that holds
-    n - 1, the longest a distance can be, and returned as int64.
+    at L.  Levels are counted, and returned, in the smallest signed type
+    that holds n - 1, the longest a distance can be.
     """
     n = len(points)
     degrees = np.array([len(a) for a in adjacency], dtype=np.int64)
@@ -137,7 +148,7 @@ def graph_distance_matrix(points, adjacency) -> DistanceMatrix:
         frontier[:n] = reach
     if not np.unpackbits(seen, axis=1, count=n).all():
         raise MetricError("graph is disconnected")
-    return DistanceMatrix(points, d.astype(np.int64))
+    return DistanceMatrix(points, d)
 
 
 def gromov_product(x, y, base, D: DistanceMatrix) -> Fraction:
@@ -231,10 +242,14 @@ def _defect2_at(d, xs):
     a level only looks for its best pair at the live basepoints where some
     reached pair beats the defect found so far; there the pair is the
     first (y, z) in row-major order of least g[y,z] among those reached.
+    A level runs on chunks of its live basepoints whose float32 operands
+    hold at most PAIRS_PER_BLOCK entries (one basepoint at least), each on
+    the longest prefix in its chunk, so its temporaries stay bounded
+    however many basepoints there are.
     """
     xs = np.asarray(xs, dtype=np.intp)
     top = 2 * int(d.max())
-    d = d.astype(np.min_scalar_type(-1 - top))
+    d = d.astype(np.min_scalar_type(-1 - top), copy=False)
     order = np.argsort(-d[xs], axis=1, kind="stable")
     dx = np.take_along_axis(d[xs], order, axis=1)
     g = dx[:, :, None] + dx[:, None, :] - np.stack([d[o][:, o] for o in order])
@@ -255,23 +270,35 @@ def _defect2_at(d, xs):
         i += 1 + paired
         if not live.size:
             continue
-        gk = g[live, :k, :k]
-        masks = (gk >= v, gk >= v - 1) if paired else (gk >= v,)
-        closed = _equivalences(masks, np.flatnonzero(best[live] == 0))
-        if closed.size:
-            keep = np.ones(len(live), dtype=bool)
-            keep[closed] = False
-            live, gk, masks = live[keep], gk[keep], [b[keep] for b in masks]
-        if paired:
-            hi, lo = masks
-            b = (lo.view(np.uint8) + hi.view(np.uint8) * np.uint8(k)).astype(np.float32)
-            s = np.matmul(b, b)
-            _raise_defects(v, live, gk, s >= (k + 1) ** 2, best, y, z)
-            _raise_defects(v - 1, live, gk, s > 0, best, y, z)
-        else:
-            b = masks[0].astype(np.float32)
-            _raise_defects(v, live, gk, np.matmul(b, b) > 0, best, y, z)
+        step = max(1, PAIRS_PER_BLOCK // (k * k))
+        for lo in range(0, len(live), step):
+            chunk = live[lo : lo + step]
+            _run_level(v, paired, g, chunk, int(ks[chunk].max()), best, y, z)
     return best, np.stack([order[rows, y], order[rows, z]], axis=1)
+
+
+def _run_level(v, paired, g, live, k, best, y, z):
+    """Level v, and level v - 1 with it when paired, at the live basepoints
+    on their first k points: the equivalence skip, one product, and the
+    defect updates.  The masks go before the operand is cast, and the
+    operand before the product is read."""
+    gk = g[live, :k, :k]
+    masks = (gk >= v, gk >= v - 1) if paired else (gk >= v,)
+    closed = _equivalences(masks, np.flatnonzero(best[live] == 0))
+    if closed.size:
+        keep = np.ones(len(live), dtype=bool)
+        keep[closed] = False
+        live, gk, masks = live[keep], gk[keep], [b[keep] for b in masks]
+    b = masks[1].view(np.uint8) + masks[0].view(np.uint8) * np.uint8(k) if paired else masks[0]
+    del masks
+    b = b.astype(np.float32)
+    s = np.matmul(b, b)
+    del b
+    if paired:
+        _raise_defects(v, live, gk, s >= (k + 1) ** 2, best, y, z)
+        _raise_defects(v - 1, live, gk, s > 0, best, y, z)
+    else:
+        _raise_defects(v, live, gk, s > 0, best, y, z)
 
 
 def _equivalences(masks, t):
@@ -334,7 +361,8 @@ def four_point_delta(
     defects, yz = _defect2_at(d, xs)
     i = int(np.argmax(defects))
     x, (y, z) = int(xs[i]), yz[i].tolist()
-    w = int(np.argmax(np.minimum(d[x, y] + d[x] - d[y], d[x] + d[x, z] - d[:, z])))
+    dx = d[x].astype(np.int64)
+    w = int(np.argmax(np.minimum(dx[y] + dx - d[y], dx + dx[z] - d[:, z])))
     upper = defects[i] if method == "exact" else 2 * defects.min()
     return DeltaReport(
         delta=Fraction(int(defects[i]), 2),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import ARRAY_INF, INF, FamilyError, json_field
-from .metric import DistanceMatrix, graph_distance_matrix
+from .metric import PAIRS_PER_BLOCK, DistanceMatrix, graph_distance_matrix
 
 ALPHA = "a+"
 ALPHA_INV = "a-"
@@ -233,14 +233,10 @@ def _require_validated(family):
         )
 
 
-# Pairs per block of rows in _encoded_word_lengths, and products per block of
-# frontier rows in breadth_first: bounds every array temporary (512 kB each,
-# so they stay in cache) whatever the size of the ball or of the frontier.
-PAIRS_PER_BLOCK = 1 << 16
-
 # The most points ball_points keeps and bfs_oracle reaches: either matrix
-# holds n^2 int64 distances (800 MB at the limit) and the delta kernel several
-# n x n temporaries, so more is a configuration error, not an allocation failure.
+# holds n^2 distances (100 MB at the limit in int8, 200 MB in the oracle's
+# int16), and the delta kernel holds several n x n temporaries at its largest
+# level, so more is a configuration error, not an allocation failure.
 BALL_POINT_LIMIT = 10_000
 
 
@@ -249,9 +245,9 @@ def pairwise_word_lengths(xs, ys):
 
     word_length's closed form on all pairs at once: x^-1 y = (g, m) with
     g = alpha^-m_x(h_x^-1 h_y) and m = m_y - m_x, and the minimum over
-    i >= max(0, -m) of 2i + m + a_length(alpha^i g) runs as array steps up
-    to the same stopping index, the first such i with a_length <= 1 (the
-    pair kernel of the family's basis gives it).  Both sides are encoded
+    i >= max(0, -m) of 2i + m + a_length(alpha^i g) is read at one i per
+    pair, the later of max(0, -m) and the pair's knee (the pair kernel of
+    the family's basis gives it).  Both sides are encoded
     once on one basis, the rows in order of m_x, and go through
     _encoded_word_lengths with every column in each block.
     """
@@ -271,8 +267,9 @@ def pairwise_word_lengths(xs, ys):
     return _encoded_word_lengths(basis, R, row_ms[order], C, np.array([y.m for y in ys], dtype=np.int64), at=order)
 
 
-def _encoded_word_lengths(basis, R, row_ms, C, col_ms, at=None, symmetric=False):
-    """d(x_i, y_j) for encoded rows R and columns C, as an int64 array.
+def _encoded_word_lengths(basis, R, row_ms, C, col_ms, at=None, symmetric=False, dtype=np.int64):
+    """d(x_i, y_j) for encoded rows R and columns C, as an array of
+    `dtype`, which must hold every one of them.
 
     Rows must come in order of m (row_ms ascending) and go in blocks of
     consecutive rows, which keeps each block's range of exponents short;
@@ -287,7 +284,7 @@ def _encoded_word_lengths(basis, R, row_ms, C, col_ms, at=None, symmetric=False)
     matrix-sized array.
     """
     n_rows, n_cols = len(row_ms), len(col_ms)
-    out = np.empty((n_rows, n_cols), dtype=np.int64)
+    out = np.empty((n_rows, n_cols), dtype=dtype)
     if not n_rows or not n_cols:
         return out
     at = np.arange(n_rows) if at is None else at
@@ -297,7 +294,7 @@ def _encoded_word_lengths(basis, R, row_ms, C, col_ms, at=None, symmetric=False)
     step = max(1, step)
     for lo in range(0, n_rows, step):
         rows, cols = slice(lo, lo + step), slice(lo if symmetric else 0, None)
-        block = _block_word_lengths(basis, basis.take(R, rows), row_ms[rows], basis.take(C, cols), col_ms[cols])
+        block, _ = _block_word_lengths(basis, basis.take(R, rows), row_ms[rows], basis.take(C, cols), col_ms[cols])
         out[at[rows], cols] = block
         if symmetric:
             out[at[cols], rows] = block.T
@@ -309,31 +306,23 @@ def _encoded_word_lengths(basis, R, row_ms, C, col_ms, at=None, symmetric=False)
     return out
 
 
-def _block_word_lengths(basis, R, row_ms, C, col_ms, first=False):
-    """The lengths of one block of pairs; with `first`, also each pair's
-    first exponent that attains its minimum (the i of _length_scan)."""
+def _block_word_lengths(basis, R, row_ms, C, col_ms):
+    """The lengths of one block of pairs, and each pair's first exponent
+    that attains its minimum (the i of _length_scan).
+
+    The cost 2k + m + a_length(alpha^k g) of a pair is convex in k, so its
+    first least value over k >= max(0, -m) lies at the pair's knee or at
+    that start, whichever is later: one evaluation of lengths."""
     m = col_ms[None, :] - row_ms[:, None]
-    settle, lengths = basis.pair_a_lengths(R, row_ms, C)
-    if (settle == ARRAY_INF).any():
+    _, knee, lengths = basis.pair_a_lengths(R, row_ms, C)
+    if (knee == ARRAY_INF).any():
         raise WordError("word_length failed to terminate; broken family?")
-    # Pair ij scans its own exponents k = start_ij + j, j = 0..span_ij.
-    # Steps past a pair's stopping index cannot lower its minimum (2k + m
-    # alone exceeds the cost there), so the longest span sets the loop.
-    start = np.maximum(0, -m)
-    span = np.maximum(start, settle) - start
-    best = at = None
-    for j in range(int(span.max()) + 1):
-        k = start + j
-        cost = lengths(k)
-        cost += m
-        cost += 2 * k
-        if best is None:
-            best, at = cost, k
-            continue
-        if first:
-            at = np.where(cost < best, k, at)
-        best = np.minimum(best, cost, out=best)
-    return (best, at) if first else best
+    at = np.maximum(knee, -m)
+    np.maximum(at, 0, out=at)
+    best = lengths(at)
+    best += m
+    best += 2 * at
+    return best, at
 
 
 def _identity_row_lengths(family, basis, enc, ms):
@@ -551,7 +540,7 @@ def _trusted_rows(law, enc, ms, window):
     """
     basis, n = law.basis, len(ms)
     one, rows = basis.encode([law.family.identity()]), np.arange(n)
-    _, i = _block_word_lengths(basis, one, np.zeros(1, dtype=np.int64), enc, ms, first=True)
+    _, i = _block_word_lengths(basis, one, np.zeros(1, dtype=np.int64), enc, ms)
     ok = (i[0] <= window.levels) & (np.abs(ms) <= window.levels)
     i = np.where(ok, i[0], 0)
     letters, factored = basis.a_factorize(basis.twisted_sums(enc, i, rows, n))
@@ -586,8 +575,8 @@ def ball_points(family, radius, window=None, sample=None, seed=0):
     kept points become GroupPoints.  The kept rows run against themselves
     as a triangle: in order of m, each block of rows only against the
     columns from its own start on, mirrored, and written straight to its
-    points' rows and columns in key order.  Returns (points,
-    DistanceMatrix).
+    points' rows and columns in key order, in the smallest signed type that
+    holds 2 radius.  Returns (points, DistanceMatrix).
     """
     _require_validated(family)
     if window is None:
@@ -618,7 +607,9 @@ def ball_points(family, radius, window=None, sample=None, seed=0):
     by_m = np.argsort(ms[order], kind="stable")
     rows = np.array(order, dtype=np.intp)[by_m]
     R = basis.take(cands, kept[rows])
-    d = _encoded_word_lengths(basis, R, ms[rows], R, ms[rows], at=by_m, symmetric=True)
+    # Two points of the ball lie at most 2 radius apart.
+    dtype = np.min_scalar_type(-1 - 2 * radius)
+    d = _encoded_word_lengths(basis, R, ms[rows], R, ms[rows], at=by_m, symmetric=True, dtype=dtype)
     return pts, DistanceMatrix(ids, d)
 
 
@@ -751,12 +742,13 @@ class DistortionReport:
     window: dict
     m_max: int
     checked: int
-    violations: list
+    violations: list  # the first ten
+    violation_count: int
     complete: bool
 
     @property
     def passed(self):
-        return not self.violations
+        return not self.violation_count
 
     def as_dict(self):
         return {
@@ -765,6 +757,7 @@ class DistortionReport:
             "m_max": self.m_max,
             "checked": self.checked,
             "violations": self.violations,
+            "violation_count": self.violation_count,
             "complete": self.complete,
             "passed": self.passed,
         }
@@ -783,7 +776,8 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
     draw the letters, and each product the sum of its letters' rows of the
     law's generators (H is abelian).  The balls and the samples stay
     encoded on the sweep's basis: their lengths are one identity row, and
-    only the violating elements are decoded.
+    only the first ten violating elements, the ones listed, are decoded;
+    violation_count counts them all.
     """
     if window is None:
         window = family.default_window(6)
@@ -808,10 +802,12 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
         parts.append((enc, np.zeros(samples, dtype=np.int64)))
     enc, ms = law.concat(parts)
     lengths = _identity_row_lengths(family, law.basis, enc, ms)
-    violations = []
+    violations, count = [], 0
     for m, (lo, hi) in enumerate(rows, 1):
         bound = 2 * family.n0 * m + 1
         bad = lo + np.flatnonzero(lengths[lo:hi] > bound)
+        count += len(bad)
+        bad = bad[: 10 - len(violations)]
         for h, wl in zip(law.basis.decode(law.basis.take(enc, bad)), lengths[bad].tolist()):
             violations.append({"m": m, "h": family.format_h(h), "length": wl, "bound": bound})
     return DistortionReport(
@@ -819,7 +815,8 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
         window=window.as_dict(),
         m_max=m_max,
         checked=sum(hi - lo for lo, hi in rows),
-        violations=violations[:10],
+        violations=violations,
+        violation_count=count,
         complete=len(exhaustive) == m_max,
     )
 

@@ -253,6 +253,7 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
         m_max=m_max,
         checked=checked,
         violations=violations[:10],
+        violation_count=len(violations),
         complete=complete,
     )
 

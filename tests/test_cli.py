@@ -536,10 +536,10 @@ class TestFlags:
 # and the tree report read its sample encoded: output stays byte-identical
 # across changes of speed.  The first ten are the perfbench `reports` pool.
 STDOUT_SHA256 = [
-    (["report", "--family", "nadic:2", "--radius", "2", "--horizon", "6"], "7cbfda080cece8a2b2d69ede08de26276d0cf3ec14e9c67ee1e0c8e65314cecf"),
-    (["report", "--family", "lamplighter:2", "--radius", "3"], "25fa14df099128b2bd87346658899d5546e756a469953b583d3cca36a4bf1000"),
-    (["verify", "--family", "lamplighter:2"], "cf687601c68aa0a4e1defc5a01dddf7e9a9dcd5c2490fa796254ccbcc2e40676"),
-    (["verify", "--family", "nadic:2"], "9f7fd9e46165fa33b8d2356a10ddcb9626689070e410918e0306d4d693bcd506"),
+    (["report", "--family", "nadic:2", "--radius", "2", "--horizon", "6"], "a1eca95dc2e9f4da06933621bb9f72ff3aa50b411c59b6795e44b245538d0758"),
+    (["report", "--family", "lamplighter:2", "--radius", "3"], "f561cd59b4e423e712cd068224feec583ffbc60187c526b2bbc43f609969193a"),
+    (["verify", "--family", "lamplighter:2"], "f418cfd144743aa3bf83514101ef9c72ccf71dc67e52452f8afd8533a3417912"),
+    (["verify", "--family", "nadic:2"], "83639572d753f06480610f3e8f3e737058ac0e8e1e6f2e84429a4289fcd52df7"),
     (["classify", "--family", "nadic:2", "--horizon", "6", "a+", "g{1/2}"], "b3f83bb5d57d39137027f74e0ff7b2b138e761f63d6107a2f1b91475331f15c7"),
     (["classify", "--family", "lamplighter:2", "a+", "g{0:1}"], "b21a612fbe88de20e4c3b50bcf23fe1e9c2750ce931baf9c2df231b8db70404c"),
     (["schottky", "--family", "lamplighter:2", "a+", "a+ g{0:1}"], "cf49f0a2e24d4cb8823d80aafd01494322346a34abe2a3a5bf14994d1b1493d6"),

@@ -171,7 +171,9 @@ class ScalarBasis:
 
     settle is the least k >= 0 with alpha^k(g) in A (ARRAY_INF when k <= 64
     has none): the exponents axiom (b) asks about, whether or not
-    membership stays once reached."""
+    membership stays once reached.  There is no knee (None): the cost need
+    not be convex here, and verify_confining reads only settle and
+    lengths."""
 
     def __init__(self, family):
         self.family = family
@@ -196,7 +198,7 @@ class ScalarBasis:
         def lengths(k):
             return np.array([[length(h, int(kk)) for h, kk in zip(row, ks)] for row, ks in zip(g, k)], dtype=np.int64)
 
-        return np.array([[settle(h) for h in row] for row in g], dtype=np.int64), lengths
+        return np.array([[settle(h) for h in row] for row in g], dtype=np.int64), None, lengths
 
 
 CONFINING_FAMILIES = {

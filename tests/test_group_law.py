@@ -11,6 +11,7 @@ import pytest
 import scalar_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_families import ShortNadic
 from test_words import H_STRATEGIES, lamp_configs, point_lists
 
 from focalgroups.boundary import _subgroup_closure, axis_distance, schottky_semigroup_check
@@ -383,7 +384,7 @@ class TestBallPoints:
             pts, D = ball_points(family, radius, window=window, sample=sample, seed=seed)
         assert pts == want_pts
         assert D.points == want.points
-        assert D.d.dtype == np.int64 and np.array_equal(D.d, want.d)
+        assert D.d.dtype.kind == "i" and np.array_equal(D.d, want.d)
 
 
 DISTORTIONS = {
@@ -441,6 +442,16 @@ class TestDistortion:
         # on the 1/16 grid.
         report = distortion_check(N2)
         assert report.checked == 451 and report.complete
+
+    def test_violations_are_counted_beyond_the_list(self):
+        # With n0 = 0 the bound is 1 at every level, and 352 of the same 451
+        # products pass it; ten are listed, all are counted.
+        report = distortion_check(ShortNadic(2))
+        assert report.checked == 451 and report.complete and not report.passed
+        assert len(report.violations) == 10 and report.violation_count == 352
+        assert report.as_dict()["violation_count"] == 352
+        # The scalar loop lists its ten in set order, but counts the same.
+        assert ref.distortion_check(ShortNadic(2)).violation_count == 352
 
     def test_cap_decision(self):
         # |A.A| = 65 on the 1/16 grid: a cap of 65 keeps the first square
@@ -506,7 +517,7 @@ class TestPairKernel:
         pts = sample_points(family, 12, max_len=6, seed=5)
         rows, cols = pts[:4], pts
         basis = family.basis([x.h for x in pts], 1, 0)
-        _, lengths = basis.pair_a_lengths(basis.encode([x.h for x in rows]), np.array([x.m for x in rows]), basis.encode([y.h for y in cols]))
+        _, _, lengths = basis.pair_a_lengths(basis.encode([x.h for x in rows]), np.array([x.m for x in rows]), basis.encode([y.h for y in cols]))
         k = np.arange(len(rows) * len(cols), dtype=np.int64).reshape(len(rows), len(cols)) % 7
         got = lengths(k)
         for i, x in enumerate(rows):
@@ -526,7 +537,7 @@ class TestPairKernel:
         cols = data.draw(st.lists(hs, min_size=1, max_size=8), label="cols")
         basis = family.basis([x.h for x in rows] + cols, 2, 1)
         R, C = basis.encode([x.h for x in rows]), basis.encode(cols)
-        settle, lengths = basis.pair_a_lengths(R, np.array([x.m for x in rows], dtype=np.int64), C)
+        settle, _, lengths = basis.pair_a_lengths(R, np.array([x.m for x in rows], dtype=np.int64), C)
         inside = [lengths(np.full(settle.shape, k, dtype=np.int64)) <= 1 for k in range(3)]
         for i, x in enumerate(rows):
             for j, h in enumerate(cols):

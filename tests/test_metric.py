@@ -2,6 +2,7 @@ import io
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scalar_reference as ref
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from focalgroups import families
+from focalgroups import families, metric
 from focalgroups.metric import (
     DistanceMatrix,
     MetricError,
@@ -116,7 +117,7 @@ def distances_or_none(gdm, adjacency):
         D = gdm(list(range(len(adjacency))), adjacency)
     except MetricError:
         return None
-    assert D.d.dtype == np.int64
+    assert D.d.dtype.kind == "i"
     return D.d
 
 
@@ -154,7 +155,7 @@ class TestGraphDistanceMatrix:
         adjacency = [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
         D = graph_distance_matrix(list("abcdef"), adjacency)
         assert D.points == list("abcdef")
-        assert D.d.dtype == np.int64
+        assert D.d.dtype.kind == "i"
         assert (D.d == path_metric(n).d).all()
 
     def test_cycle(self):
@@ -311,8 +312,19 @@ class TestFourPointDelta:
         xs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), label="xs")
         limit = data.draw(st.sampled_from([None, 127, 32767]), label="limit")
         factor = 1 if limit is None or top == 0 else limit // (2 * top) + data.draw(st.integers(0, 1), label="over")
-        d = D.d * factor
+        d = D.d.astype(np.int64) * factor
         got, want = _defect2_at(d, xs), ref.defect2_at(d, xs)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("block", [1, 300])
+    @given(D=graph_metrics(max_n=16), data=st.data())
+    def test_kernel_chunks_match_reference(self, block, D, data):
+        """Chunks of one basepoint, or of the few whose operands fit 300
+        entries, give the (defects, yz) of the reference."""
+        xs = data.draw(st.lists(st.integers(0, len(D) - 1), min_size=1, max_size=len(D), unique=True), label="xs")
+        with mock.patch.object(metric, "PAIRS_PER_BLOCK", block):
+            got = _defect2_at(D.d, xs)
+        want = ref.defect2_at(D.d, xs)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("key", sorted(KERNEL_MATRICES))
@@ -380,6 +392,59 @@ class TestDistanceMatrix:
         back = DistanceMatrix.from_csv(buf)
         assert back.points == [str(p) for p in D.points]
         assert (back.d == D.d).all()
+
+
+class TestNarrowMatrices:
+    """An int8 matrix with entries near 127, where sums of two distances
+    leave int8, gives the answers of the same matrix in int64."""
+
+    @staticmethod
+    def pair():
+        # A 5-cycle with edges of 60: the witness line's sums reach 240.
+        wide = DistanceMatrix([f"p{i}" for i in range(5)], cycle_metric(5).d * 60)
+        return DistanceMatrix(wide.points, wide.d.astype(np.int8)), wide
+
+    def test_keeps_its_type(self):
+        narrow, wide = self.pair()
+        assert narrow.d.dtype == np.int8 and wide.d.dtype == np.int64
+        assert int(narrow.d.max()) == 120
+
+    def test_validate(self):
+        narrow, _ = self.pair()
+        assert narrow.validate() is narrow
+        d = narrow.d.copy()
+        d[0, 2] = d[2, 0] = 127  # 127 > d(0, 1) + d(1, 2) = 60 + 60
+        with pytest.raises(MetricError, match="triangle"):
+            DistanceMatrix(narrow.points, d).validate()
+
+    def test_gromov_products(self):
+        narrow, wide = self.pair()
+        for x, y, z in itertools.product(narrow.points, repeat=3):
+            assert gromov_product(y, z, x, narrow) == gromov_product(y, z, x, wide)
+
+    def test_four_point_delta_and_witness(self):
+        narrow, wide = self.pair()
+        for cutoff in (5, 2):
+            report = four_point_delta(narrow, exhaustive_cutoff=cutoff)
+            assert report == four_point_delta(wide, exhaustive_cutoff=cutoff)
+            assert quadruple_defect(narrow, *report.witness) == report.delta
+        assert four_point_delta(narrow).delta == 60 * reference_delta(cycle_metric(5))
+
+    def test_restrict(self):
+        narrow, wide = self.pair()
+        subset = narrow.points[::-2]
+        got, want = narrow.restrict(subset), wide.restrict(subset)
+        assert got.d.dtype == np.int8 and got.points == want.points and (got.d == want.d).all()
+
+    def test_csv_round_trip(self):
+        narrow, wide = self.pair()
+        assert narrow.csv_string() == wide.csv_string()
+        back = DistanceMatrix.from_csv(io.StringIO(narrow.csv_string()))
+        assert back.points == narrow.points and back.d.dtype == np.int64 and (back.d == wide.d).all()
+
+    def test_unsigned_and_float_become_int64(self):
+        for d in (np.eye(2, dtype=np.uint8), np.eye(2), [[0, 1], [1, 0]]):
+            assert DistanceMatrix([0, 1], d).d.dtype == np.int64
 
 
 class TestQIEmbedding:

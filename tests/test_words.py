@@ -1,10 +1,11 @@
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scalar_reference import sample_points as listed_sample_points
 
@@ -338,6 +339,24 @@ def point_lists(family, hs):
     return st.lists(group_points(family, hs), min_size=1, max_size=8)
 
 
+# Products whose factors' knees differ: the cost of a product may tie (or
+# fall) into the later knee from the exponent before it.
+N2N5 = ProductFamily(N2, NadicFamily(5))
+NESTED = ProductFamily(PROD, NadicFamily(3))
+KNEE_STRATEGIES = dict(H_STRATEGIES)
+KNEE_STRATEGIES["product(nadic:2,nadic:5)"] = (N2N5, st.tuples(nadic_values(2), nadic_values(5)))
+KNEE_STRATEGIES["product(product(lamplighter:2,nadic:2),nadic:3)"] = (
+    NESTED,
+    st.tuples(H_STRATEGIES["product(lamplighter:2,nadic:2)"][1], nadic_values(3)),
+)
+
+
+@st.composite
+def knee_cases(draw):
+    family, hs = KNEE_STRATEGIES[draw(st.sampled_from(sorted(KNEE_STRATEGIES)), label="spec")]
+    return draw(point_lists(family, hs), label="xs"), draw(point_lists(family, hs), label="ys")
+
+
 class TestPairwiseWordLengths:
     @pytest.mark.parametrize("spec", sorted(H_STRATEGIES))
     @given(data=st.data())
@@ -374,8 +393,28 @@ class TestPairwiseWordLengths:
         basis = family.basis([x.h for x in xs], 1, 0)
         one, zero = basis.encode([family.identity()]), np.zeros(1, dtype=np.int64)
         ms = np.array([x.m for x in xs], dtype=np.int64)
-        lengths, first = words._block_word_lengths(basis, one, zero, basis.encode([x.h for x in xs]), ms, first=True)
+        lengths, first = words._block_word_lengths(basis, one, zero, basis.encode([x.h for x in xs]), ms)
         assert list(zip(lengths[0].tolist(), first[0].tolist())) == [words._length_scan(x)[:2] for x in xs]
+
+    @settings(max_examples=200)
+    @given(cases=knee_cases())
+    # Costs 6, 6 and 7 at i = 2, 3 and 4: the nadic:5 knee is 3, and the
+    # first minimum 2 lies one step before it.
+    @example(cases=([identity_point(N2N5)], [GroupPoint(N2N5, (Fraction(-25, 2), Fraction(2263, 25)), -2)]))
+    def test_knees_give_the_first_minimising_exponent(self, cases):
+        # Every pair's (length, exponent) read at the later of its start and
+        # its knee is _length_scan's on x^-1 y, and ragged row blocks give
+        # the same lengths.
+        xs, ys = cases
+        family = xs[0].family
+        basis = family.basis([p.h for p in xs + ys], 1, 0)
+        row_ms = np.array([x.m for x in xs], dtype=np.int64)
+        col_ms = np.array([y.m for y in ys], dtype=np.int64)
+        best, at = words._block_word_lengths(basis, basis.encode([x.h for x in xs]), row_ms, basis.encode([y.h for y in ys]), col_ms)
+        want = [[words._length_scan(x.inverse() * y)[:2] for y in ys] for x in xs]
+        assert [list(zip(b, a)) for b, a in zip(best.tolist(), at.tolist())] == want
+        with mock.patch.object(words, "PAIRS_PER_BLOCK", 3):
+            assert pairwise_word_lengths(xs, ys).tolist() == best.tolist()
 
     def test_identity_row_is_word_length(self):
         pts = sample_points(N2, 40, max_len=7, seed=3)
@@ -405,7 +444,7 @@ class TestPairwiseWordLengths:
         ]
         basis = n10.basis([x.h for x in pts], 1, 0)
         enc = basis.encode([x.h for x in pts])
-        _, lengths = basis.pair_a_lengths(enc, np.array([x.m for x in pts]), enc)
+        _, _, lengths = basis.pair_a_lengths(enc, np.array([x.m for x in pts]), enc)
         assert lengths(0).dtype == object
         assert 10**19 * 98765 > 2**63
         assert np.array_equal(pairwise_word_lengths(pts, pts), scalar_matrix(pts, pts))
@@ -549,6 +588,15 @@ class TestBallPoints:
             ball_points(L2, 2)
         monkeypatch.setattr(words, "BALL_POINT_LIMIT", 18)
         assert len(ball_points(L2, 2)[0]) == 18
+
+    @pytest.mark.parametrize("radius, dtype", [(63, np.int8), (64, np.int16)])
+    def test_matrix_type_holds_twice_the_radius(self, radius, dtype):
+        # alpha^radius and alpha^-radius lie 2 radius apart: 126 fits int8,
+        # 128 does not.
+        pts, D = ball_points(L2, radius, window=LamplighterWindow(0, 0, radius))
+        assert D.d.dtype == dtype and int(D.d.max()) == 2 * radius
+        ends = [D.index(x.key().decode()) for x in (alpha_point(L2, radius), alpha_point(L2, -radius))]
+        assert D.d[ends[0], ends[1]] == 2 * radius
 
     def test_exhaustive_ball_is_metric(self):
         pts, D = ball_points(L2, 4)
