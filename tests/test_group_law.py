@@ -445,7 +445,7 @@ class TestDistortion:
 
     def test_violations_are_counted_beyond_the_list(self):
         # With n0 = 0 the bound is 1 at every level, and 352 of the same 451
-        # products pass it; ten are listed, all are counted.
+        # products break it; ten are listed, all are counted.
         report = distortion_check(ShortNadic(2))
         assert report.checked == 451 and report.complete and not report.passed
         assert len(report.violations) == 10 and report.violation_count == 352
