@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import metric
+
 INF = float("inf")
 # int64 stand-in for INF in the array kernels, far above any radius or length.
 ARRAY_INF = 1 << 62
@@ -228,13 +230,8 @@ class LamplighterBasis:
     cost is convex in k, so for k >= 0 the knee, or k itself when it lies
     past the knee, is the first k' >= k of least cost.  lengths(k) takes an
     int64 array k of the grid's shape, k_ij >= 0, and returns a new array
-    of a_length(alpha^k_ij g_ij), with ARRAY_INF for INF.  knee_bounds =
-    (cap, pay): a_length is at most cap at every knee and at least pay one
-    step before it.
+    of a_length(alpha^k_ij g_ij), with ARRAY_INF for INF.
     """
-
-    # INF up to settle, then 1 (0 for the identity).
-    knee_bounds = (1, ARRAY_INF)
 
     def __init__(self, q, lo, hi, twisted=True):
         self.q, self.lo, self.hi, self.twisted = q, lo, hi, twisted
@@ -340,10 +337,6 @@ class NadicBasis:
         self.n, self.dpow, self.dtype = n, dpow, dtype
         self.scale = n**dpow
         self.powers = np.array([n**s for s in range(shift + 1)], dtype=dtype)
-        # One alpha step lowers a_length L to ceil(L / n), which pays (2k
-        # grows by 2) exactly while L > cap.
-        cap = {2: 5, 3: 4}.get(n, 3)
-        self.knee_bounds = (cap, cap + 1)
 
     def encode(self, hs):
         out = []
@@ -426,12 +419,13 @@ class NadicBasis:
         for s in range(top):
             least += a > powers[s]
         settle = np.where(a == 0, -ARRAY_INF, least + row_ms[:, None] - dpow)
-        # With L = ceil(a / n^e), the knee is the least e with L <= cap.
-        # With j the least exponent with n^j > cap, that is least - j + 1
-        # (there L <= n^(j - 1) <= cap) or, when a <= cap n^(least - j),
-        # least - j: one threshold per value of least, clipped at amax,
-        # which no a passes.
-        cap = self.knee_bounds[0]
+        # One alpha step lowers a_length L to ceil(L / n), which pays (2k
+        # grows by 2) exactly while L > cap.  With L = ceil(a / n^e), the
+        # knee is the least e with L <= cap.  With j the least exponent with
+        # n^j > cap, that is least - j + 1 (there L <= n^(j - 1) <= cap) or,
+        # when a <= cap n^(least - j), least - j: one threshold per value of
+        # least, clipped at amax, which no a passes.
+        cap = {2: 5, 3: 4}.get(n, 3)
         j = next(j for j in itertools.count(1) if n**j > cap)
         thresholds = np.array([min(amax, cap * n**t // n**j) for t in range(top + 1)], dtype=dtype)
         knee = np.where(a == 0, -ARRAY_INF, settle - j + (a > thresholds[least]))
@@ -449,10 +443,6 @@ class NadicBasis:
 
 class ProductBasis:
     """The two factor encodings side by side, as a pair of arrays."""
-
-    # No cap of its own at a knee; one step before it the cost is higher,
-    # so a_length exceeds its value at the knee by 3 or more.
-    knee_bounds = (ARRAY_INF, 3)
 
     def __init__(self, left, right):
         self.left, self.right = left, right
@@ -494,19 +484,15 @@ class ProductBasis:
         # the max of the components' convex costs, so it is convex and no
         # longer falls from the later knee on; but it may not fall into that
         # knee either, so the knee steps back while the exponent before it
-        # costs no more (never below 0, where no caller looks).  A first step
-        # back from factor A's knee needs the other factor's length, at most
-        # its cap, plus 2 to reach A's length there, at least A's pay; when
-        # neither factor's can, the later knee is the first minimum.
+        # costs no more (never below 0, where no caller looks).
         s1, k1, l1 = self.left.pair_a_lengths(R[0], row_ms, C[0])
         s2, k2, l2 = self.right.pair_a_lengths(R[1], row_ms, C[1])
 
         def lengths(k):
             return np.maximum(l1(k), l2(k))
 
-        (cap1, pay1), (cap2, pay2) = self.left.knee_bounds, self.right.knee_bounds
         knee = np.maximum(k1, k2)
-        back = (knee > 0) & (knee < ARRAY_INF) & (cap2 + 2 >= pay1 or cap1 + 2 >= pay2)
+        back = (knee > 0) & (knee < ARRAY_INF)
         while back.any():
             here, before = lengths(np.where(back, knee, 0)), lengths(np.where(back, knee - 1, 0))
             back &= before <= here + 2
@@ -1102,7 +1088,7 @@ def verify_confining(family, window=None, exhaust_depth=8, max_elements=100000):
     is the least k with alpha^k(h) in A, and alpha(A) inside A keeps
     membership from there on (word_length's scan rests on the same).  (c) takes the inverted A-letters as rows and the A-letters as
     columns, so pair (i, j) is a_i a_j, and tests lengths(n0) in row
-    blocks of PAIRS_PER_BLOCK pairs.
+    blocks of metric.PAIRS_PER_BLOCK pairs.
 
     At most max_elements A-letters, window elements and pairs (the first,
     in row-major order) are checked.  Failures are listed in that order,
@@ -1110,8 +1096,6 @@ def verify_confining(family, window=None, exhaust_depth=8, max_elements=100000):
     absorption_failures.  A check stops at its sixth failure, and
     `complete` is False when a check reached its max_elements cut first.
     """
-    from .words import PAIRS_PER_BLOCK  # words imports this module
-
     if window is None:
         window = family.default_window(6)
     report = ConfiningReport(
@@ -1167,7 +1151,7 @@ def verify_confining(family, window=None, exhaust_depth=8, max_elements=100000):
         inv = basis.encode(inverses)
         pairs = min(n * n, max_elements)
         rows = -(-pairs // n)
-        step = max(1, PAIRS_PER_BLOCK // n)
+        step = max(1, metric.PAIRS_PER_BLOCK // n)
         for lo in range(0, rows, step):
             hi = min(lo + step, rows)
             bad = outside_A(basis.take(inv, slice(lo, hi)), np.zeros(hi - lo, dtype=np.int64), A, n, family.n0) + lo * n

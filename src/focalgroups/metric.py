@@ -27,8 +27,10 @@ USE_SPEEDUPS = False
 EXHAUSTIVE_CUTOFF = 64
 # Entries per array temporary in the batched kernels, whatever the size of
 # the input: pairs per block of rows in words._encoded_word_lengths, products
-# per block of frontier rows in words.breadth_first, and float32 operand
-# entries per chunk of basepoints in _defect2_at (at least one basepoint).
+# per block of frontier rows in words.breadth_first, pairs per block of rows
+# in families.verify_confining, and float32 operand entries per chunk of
+# basepoints in _defect2_at (at least one basepoint).  Each reads it here at
+# call time, so one patch of metric.PAIRS_PER_BLOCK reaches all four.
 PAIRS_PER_BLOCK = 1 << 16
 # Basepoints drawn besides the centre above the exhaustive cutoff.
 SEEDED_BASEPOINTS = 1

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import metric
 from .families import ARRAY_INF, INF, FamilyError, json_field
-from .metric import PAIRS_PER_BLOCK, DistanceMatrix, graph_distance_matrix
+from .metric import DistanceMatrix, graph_distance_matrix
 
 ALPHA = "a+"
 ALPHA_INV = "a-"
@@ -288,7 +289,7 @@ def _encoded_word_lengths(basis, R, row_ms, C, col_ms, at=None, symmetric=False,
     if not n_rows or not n_cols:
         return out
     at = np.arange(n_rows) if at is None else at
-    step = PAIRS_PER_BLOCK // n_cols
+    step = metric.PAIRS_PER_BLOCK // n_cols
     if symmetric:
         step = min(step, -(-n_rows // 3))
     step = max(1, step)
@@ -434,7 +435,7 @@ def breadth_first(law, levels, window=None, cap=None):
     """
     enc, ms = law.encode([identity_point(law.family)])
     by_depth, seen, count = [(enc, ms)], set(law.keys(enc, ms)), 1
-    step = max(1, PAIRS_PER_BLOCK // len(law.gen_ms))
+    step = max(1, metric.PAIRS_PER_BLOCK // len(law.gen_ms))
     truncated = capped = closed = False
     for depth in range(1, levels + 1):
         found = []

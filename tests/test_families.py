@@ -9,7 +9,7 @@ import scalar_reference as ref
 from hypothesis import given
 from hypothesis import strategies as st
 
-from focalgroups import words
+from focalgroups import metric
 from focalgroups.families import (
     ARRAY_INF,
     INF,
@@ -234,12 +234,12 @@ class TestConfiningArrays:
         got = verify_confining(family, window, exhaust_depth=depth, max_elements=cap)
         assert got.as_dict() == ref.verify_confining(family, window, depth, cap).as_dict()
 
-    @pytest.mark.parametrize("block", [1, 7, 20, words.PAIRS_PER_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, 20, metric.PAIRS_PER_BLOCK])
     @pytest.mark.parametrize("cap", [3, 8, 10, 11, 12, 40, 100])
     def test_product_failures_across_row_blocks(self, block, cap, monkeypatch):
         # 9 A-letters, 81 pairs; the sixth failure is pair 10, and caps
         # around it cut a row or stop first.
-        monkeypatch.setattr(words, "PAIRS_PER_BLOCK", block)
+        monkeypatch.setattr(metric, "PAIRS_PER_BLOCK", block)
         family, window = ShortNadic(2), NadicWindow(2, 2, 6)
         got = verify_confining(family, window, max_elements=cap)
         want = ref.verify_confining(family, window, max_elements=cap)

@@ -29,7 +29,7 @@ from focalgroups.families import (
     ProductWindow,
     SpoofIdentityFamily,
 )
-from focalgroups import words
+from focalgroups import metric, words
 from focalgroups.words import (
     GroupPoint,
     Products,
@@ -200,8 +200,8 @@ class TestClosure:
         cap = data.draw(st.integers(1, 300), label="cap")
         # Small blocks split each level into many blocks of frontier rows,
         # and the cap lands inside one.
-        block = data.draw(st.sampled_from([words.PAIRS_PER_BLOCK, 20, 1]), label="block")
-        with mock.patch.object(words, "PAIRS_PER_BLOCK", block):
+        block = data.draw(st.sampled_from([metric.PAIRS_PER_BLOCK, 20, 1]), label="block")
+        with mock.patch.object(metric, "PAIRS_PER_BLOCK", block):
             got = _subgroup_closure(gens, L, cap)
         same_closure(got, ref.subgroup_closure(gens, L, cap))
 
@@ -226,7 +226,7 @@ class TestOracle:
     )
     def test_matches_scalar_loop(self, name, block):
         family, window, radius = ORACLES[name]
-        with mock.patch.object(words, "PAIRS_PER_BLOCK", block or words.PAIRS_PER_BLOCK):
+        with mock.patch.object(metric, "PAIRS_PER_BLOCK", block or metric.PAIRS_PER_BLOCK):
             res = bfs_oracle(family, window, radius=radius)
         points, dist, truncated = ref.oracle_sweep(res.generators, window, radius)
         assert list(res.points) == list(points)
@@ -378,9 +378,9 @@ class TestBallPoints:
         seed = data.draw(st.integers(0, 50), label="seed")
         narrow = (sample is None and radius > default_max) or data.draw(st.booleans(), label="narrow")
         window = data.draw(windows(radius), label="window") if narrow else None
-        block = data.draw(st.sampled_from([words.PAIRS_PER_BLOCK, 2000, 150]), label="block")
+        block = data.draw(st.sampled_from([metric.PAIRS_PER_BLOCK, 2000, 150]), label="block")
         want_pts, want = ref.ball_points(family, radius, window=window, sample=sample, seed=seed)
-        with mock.patch.object(words, "PAIRS_PER_BLOCK", block):
+        with mock.patch.object(metric, "PAIRS_PER_BLOCK", block):
             pts, D = ball_points(family, radius, window=window, sample=sample, seed=seed)
         assert pts == want_pts
         assert D.points == want.points
@@ -415,7 +415,7 @@ class TestDistortion:
     @pytest.mark.parametrize("name", sorted(DISTORTIONS))
     def test_matches_scalar_loop(self, name):
         family, kwargs = DISTORTIONS[name]
-        with mock.patch.object(words, "PAIRS_PER_BLOCK", DISTORTION_BLOCKS.get(name, words.PAIRS_PER_BLOCK)):
+        with mock.patch.object(metric, "PAIRS_PER_BLOCK", DISTORTION_BLOCKS.get(name, metric.PAIRS_PER_BLOCK)):
             got = distortion_check(family, **kwargs).as_dict()
         want = ref.distortion_check(family, **kwargs).as_dict()
         # The scalar loop listed violations in set order.

@@ -19,7 +19,7 @@ from focalgroups.families import (
     ProductWindow,
     SpoofIdentityFamily,
 )
-from focalgroups import words
+from focalgroups import metric, words
 from focalgroups.words import (
     ALPHA,
     ALPHA_INV,
@@ -377,7 +377,7 @@ class TestPairwiseWordLengths:
     def test_row_blocks_match_scalar(self, family, window, monkeypatch):
         # Blocks of a few rows, taken in order of m, scattered back in place,
         # all against one encoding of the columns.
-        monkeypatch.setattr(words, "PAIRS_PER_BLOCK", 100)
+        monkeypatch.setattr(metric, "PAIRS_PER_BLOCK", 100)
         # The trusted copy lets the unvalidated spoof through the gates.
         pts = sample_points(family.unchecked(), 60, max_len=7, seed=21, window=window)
         got = pairwise_word_lengths(pts, pts)
@@ -413,7 +413,7 @@ class TestPairwiseWordLengths:
         best, at = words._block_word_lengths(basis, basis.encode([x.h for x in xs]), row_ms, basis.encode([y.h for y in ys]), col_ms)
         want = [[words._length_scan(x.inverse() * y)[:2] for y in ys] for x in xs]
         assert [list(zip(b, a)) for b, a in zip(best.tolist(), at.tolist())] == want
-        with mock.patch.object(words, "PAIRS_PER_BLOCK", 3):
+        with mock.patch.object(metric, "PAIRS_PER_BLOCK", 3):
             assert pairwise_word_lengths(xs, ys).tolist() == best.tolist()
 
     def test_identity_row_is_word_length(self):
