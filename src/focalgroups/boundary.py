@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .metric import QIReport, qi_embedding_check
+from .metric import QIReport, Report, qi_embedding_check
 from .words import (
     Products,
     _identity_row_lengths,
@@ -43,21 +43,12 @@ class StabilizationError(RuntimeError):
 
 
 @dataclass
-class TranslationReport:
+class TranslationReport(Report):
     estimate: Fraction
     upper_bound: Fraction
     exact: bool
     value: Fraction | None
     horizon: int
-
-    def as_dict(self):
-        return {
-            "estimate": float(self.estimate),
-            "upper_bound": float(self.upper_bound),
-            "exact": self.exact,
-            "value": None if self.value is None else float(self.value),
-            "horizon": self.horizon,
-        }
 
 
 def orbit_lengths(g, N):
@@ -91,14 +82,16 @@ HYPERBOLIC = "hyperbolic"
 
 
 @dataclass
-class IsometryType:
+class IsometryType(Report):
     kind: str
     evidence_horizon: int
     exact: bool
     witness: dict = field(default_factory=dict)
 
     def as_dict(self):
-        return {"type": self.kind, "evidence_horizon": self.evidence_horizon, "exact": self.exact, "witness": self.witness}
+        out = super().as_dict()
+        out["type"] = out.pop("kind")
+        return out
 
 
 def isometry_type(g, N=32):
@@ -149,21 +142,12 @@ def horokernel(x, y, N=None, stable_window=6):
 
 
 @dataclass
-class QuasicharacterEstimate:
+class QuasicharacterEstimate(Report):
     value: Fraction
     defect_bound: Fraction
     horizon: int
     estimate: Fraction
     increment: int
-
-    def as_dict(self):
-        return {
-            "value": float(self.value),
-            "defect_bound": float(self.defect_bound),
-            "horizon": self.horizon,
-            "estimate": float(self.estimate),
-            "increment": self.increment,
-        }
 
 
 def busemann_quasicharacter(g, N=16):
@@ -201,7 +185,7 @@ FOCAL = "focal"
 
 
 @dataclass
-class ActionVerdict:
+class ActionVerdict(Report):
     kind: str
     horizon: int
     exact: bool
@@ -210,14 +194,9 @@ class ActionVerdict:
     complete: bool = True  # False when the subgroup closure hit its cap
 
     def as_dict(self):
-        return {
-            "type": self.kind,
-            "horizon": self.horizon,
-            "exact": self.exact,
-            "witnesses": self.witnesses,
-            "low_confidence": self.low_confidence,
-            "complete": self.complete,
-        }
+        out = super().as_dict()
+        out["type"] = out.pop("kind")
+        return out
 
 
 def axis_distance(x):
@@ -312,22 +291,16 @@ def action_type(generators, L=8, cap=20000):
 
 
 @dataclass
-class SchottkyReport:
+class SchottkyReport(Report):
     report: QIReport
     injective: bool
     words_checked: int
     collision: tuple | None
 
     def as_dict(self):
-        out = self.report.as_dict()
-        out.update(
-            {
-                "injective": self.injective,
-                "words_checked": self.words_checked,
-                "collision": list(self.collision) if self.collision else None,
-            }
-        )
-        return out
+        """The embedding report's keys, then this report's, which win."""
+        out = super().as_dict()
+        return {**out.pop("report").as_dict(), **out}
 
 
 def schottky_semigroup_check(a, b, L=10):
@@ -338,7 +311,6 @@ def schottky_semigroup_check(a, b, L=10):
     on the same basis: no value is decoded."""
     if L > 14:
         raise ValueError("more than 2^14 words requested")
-    _require_validated(a.family)
     law = Products([a, b], L)
     enc, ms = law.encode([identity_point(a.family)])
     labels = [""]

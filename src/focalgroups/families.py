@@ -507,7 +507,7 @@ def _identity_rows(enc):
 
 
 @dataclass(frozen=True)
-class LamplighterWindow:
+class LamplighterWindow(metric.Report):
     """Lamp supports restricted to [lo, hi]; alpha-exponents to [-levels, levels]."""
 
     lo: int
@@ -518,9 +518,6 @@ class LamplighterWindow:
         if self.lo > self.hi:
             raise FamilyError(f"lamplighter window: lo = {self.lo} > hi = {self.hi}")
         _check_levels(self.levels)
-
-    def as_dict(self):
-        return {"lo": self.lo, "hi": self.hi, "levels": self.levels}
 
 
 class LamplighterFamily(GroupFamily):
@@ -687,7 +684,7 @@ class SpoofIdentityFamily(LamplighterFamily):
 
 
 @dataclass(frozen=True)
-class NadicWindow:
+class NadicWindow(metric.Report):
     """Values |x| <= xmax with denominators dividing n^dpow; exponents
     to [-levels, levels]."""
 
@@ -701,9 +698,6 @@ class NadicWindow:
         if self.dpow < 0:
             raise FamilyError(f"n-adic window: dpow = {self.dpow} < 0")
         _check_levels(self.levels)
-
-    def as_dict(self):
-        return {"xmax": self.xmax, "dpow": self.dpow, "levels": self.levels}
 
 
 class NadicFamily(GroupFamily):
@@ -847,7 +841,7 @@ class NadicFamily(GroupFamily):
 
 
 @dataclass(frozen=True)
-class ProductWindow:
+class ProductWindow(metric.Report):
     left: object
     right: object
     levels: int
@@ -857,7 +851,11 @@ class ProductWindow:
         _check_levels(self.levels)
 
     def as_dict(self):
-        return {"left": self.left.as_dict(), "right": self.right.as_dict(), "levels": self.levels}
+        """The factor windows nested.  The cap stays out: a window above it
+        raises, so it never narrows what a report covers."""
+        out = super().as_dict()
+        del out["cap"]
+        return {**out, "left": self.left.as_dict(), "right": self.right.as_dict()}
 
 
 class ProductFamily(GroupFamily):
@@ -1035,7 +1033,7 @@ def _parse_shorthand(text):
 
 
 @dataclass
-class ConfiningReport:
+class ConfiningReport(metric.Report):
     family: dict
     window: dict
     exhaust_depth: int
@@ -1057,19 +1055,7 @@ class ConfiningReport:
         )
 
     def as_dict(self):
-        return {
-            "family": self.family,
-            "window": self.window,
-            "exhaust_depth": self.exhaust_depth,
-            "alpha_into_A": self.alpha_into_A,
-            "strict_witness": self.strict_witness,
-            "absorbed": self.absorbed,
-            "absorption_failures": self.absorption_failures,
-            "product_absorbed": self.product_absorbed,
-            "product_failures": self.product_failures,
-            "complete": self.complete,
-            "passed": self.passed,
-        }
+        return {**super().as_dict(), "passed": self.passed}
 
 
 def verify_confining(family, window=None, exhaust_depth=8, max_elements=100000):

@@ -15,7 +15,7 @@ import csv
 import io
 import itertools
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +38,23 @@ SEEDED_BASEPOINTS = 1
 
 class MetricError(ValueError):
     pass
+
+
+class Report:
+    """Base of the dataclasses that reach the user as JSON.
+
+    as_dict renders every dataclass field by one rule: a Fraction as a
+    float, a tuple as a list, anything else as it is.  An override only
+    adds a derived key, renames a field or nests another report."""
+
+    def as_dict(self):
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json_value(v):
+    if isinstance(v, Fraction):
+        return float(v)
+    return list(v) if isinstance(v, tuple) else v
 
 
 @dataclass
@@ -160,7 +177,7 @@ def gromov_product(x, y, base, D: DistanceMatrix) -> Fraction:
 
 
 @dataclass
-class DeltaReport:
+class DeltaReport(Report):
     """The four-point constant of a finite metric as an interval.
 
     `delta` is attained by the quadruple `witness` = (x, y, z, w) of point
@@ -182,16 +199,7 @@ class DeltaReport:
         return self.method == "exact"
 
     def as_dict(self):
-        return {
-            "delta": float(self.delta),
-            "upper": float(self.upper),
-            "method": self.method,
-            "witness": list(self.witness),
-            "n_points": self.n_points,
-            "exhaustive": self.exhaustive,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return {**super().as_dict(), "exhaustive": self.exhaustive}
 
 
 # The longest prefix whose levels 2j and 2j - 1 share one product: its
@@ -394,7 +402,7 @@ def delta_within_bound(delta: Fraction, n0: int) -> bool:
 
 
 @dataclass
-class QIReport:
+class QIReport(Report):
     """Tightest witnessed two-sided affine bounds between two distance
     samples: (1/multiplicative) s - additive <= t <= multiplicative s + additive.
     `samples` is the number of distinct (s, t) pairs the bounds rest on."""
@@ -403,14 +411,6 @@ class QIReport:
     additive_constant: Fraction
     samples: int
     injective: bool
-
-    def as_dict(self):
-        return {
-            "multiplicative_constant": float(self.multiplicative_constant),
-            "additive_constant": float(self.additive_constant),
-            "samples": self.samples,
-            "injective": self.injective,
-        }
 
 
 def qi_embedding_check(samples) -> QIReport:

@@ -17,8 +17,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .metric import DistanceMatrix, graph_distance_matrix
-from .words import GroupPoint
+from .metric import DistanceMatrix, graph_distance_matrix, qi_embedding_check
+from .words import GroupPoint, _identity_row_lengths, _require_validated, _sample_encoded
 
 
 class TreeError(ValueError):
@@ -138,14 +138,15 @@ def basepoint_distances(basis, enc, ms):
 def tree_qi_probe(family, count=200, max_len=8, seed=0):
     """Compare word length with orbit tree distance on sampled elements.
     The sample stays encoded on its own basis: the word lengths are its
-    identity row, and the orbit distances are basepoint_distances."""
-    from .metric import qi_embedding_check
-    from .words import _identity_row_lengths, _require_validated, _sample_encoded
+    identity row, and the orbit distances are basepoint_distances.
 
-    basis, enc, ms = _sample_encoded(family, count, max_len, seed)
+    The family is checked before anything is drawn: an unvalidated one
+    raises UnvalidatedFamilyError, and any other but a lamplighter family
+    a TreeError."""
     _require_validated(family)
-    lengths = _identity_row_lengths(family, basis, enc, ms)
     _require_lamplighter(family)
+    basis, enc, ms = _sample_encoded(family, count, max_len, seed)
+    lengths = _identity_row_lengths(family, basis, enc, ms)
     samples = set(zip(lengths.tolist(), basepoint_distances(basis, enc, ms).tolist()))
     return qi_embedding_check(sorted(samples))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import metric
 from .families import ARRAY_INF, INF, FamilyError, json_field
-from .metric import DistanceMatrix, graph_distance_matrix
+from .metric import DistanceMatrix, Report, graph_distance_matrix
 
 ALPHA = "a+"
 ALPHA_INV = "a-"
@@ -249,8 +249,9 @@ def pairwise_word_lengths(xs, ys):
     i >= max(0, -m) of 2i + m + a_length(alpha^i g) is read at one i per
     pair, the later of max(0, -m) and the pair's knee (the pair kernel of
     the family's basis gives it).  Both sides are encoded
-    once on one basis, the rows in order of m_x, and go through
-    _encoded_word_lengths with every column in each block.
+    once on one basis, the rows in order of m_x (see
+    _encoded_word_lengths for why), and go through _encoded_word_lengths
+    with every column in each block.
     """
     if not xs or not ys:
         return np.zeros((len(xs), len(ys)), dtype=np.int64)
@@ -272,17 +273,21 @@ def _encoded_word_lengths(basis, R, row_ms, C, col_ms, at=None, symmetric=False,
     """d(x_i, y_j) for encoded rows R and columns C, as an array of
     `dtype`, which must hold every one of them.
 
-    Rows must come in order of m (row_ms ascending) and go in blocks of
-    consecutive rows, which keeps each block's range of exponents short;
-    a block has at most PAIRS_PER_BLOCK pairs.  Encoded row r is written
-    straight to row at[r] of the result (row r when at is None).  With
-    `symmetric`, C is R itself, column c goes to column at[c], and the
-    matrix is symmetric with a zero diagonal: each block runs only
-    against the columns from its own first row on and is mirrored, and
-    blocks hold at most a third of the rows, so every set of points does
-    about two thirds of the pairs or fewer.  The columns are moved to
-    at[c] a block of rows at a time, so the result is the only
-    matrix-sized array.
+    Rows go in blocks of consecutive rows, at most PAIRS_PER_BLOCK pairs
+    a block.  The result does not depend on their order, but callers pass
+    them in order of m (row_ms ascending): on a product basis a block
+    whose rows share one exponent seldom runs the knee step-back of
+    ProductBasis.pair_a_lengths, two more length evaluations over the
+    whole block a round, and a block of mixed exponents mostly does.
+
+    Encoded row r is written straight to row at[r] of the result (row r
+    when at is None).  With `symmetric`, C is R itself, column c goes to
+    column at[c], and the matrix is symmetric with a zero diagonal: each
+    block runs only against the columns from its own first row on and is
+    mirrored, and blocks hold at most a third of the rows, so every set
+    of points does about two thirds of the pairs or fewer.  The columns
+    are moved to at[c] a block of rows at a time, so the result is the
+    only matrix-sized array.
     """
     n_rows, n_cols = len(row_ms), len(col_ms)
     out = np.empty((n_rows, n_cols), dtype=dtype)
@@ -329,7 +334,12 @@ def _block_word_lengths(basis, R, row_ms, C, col_ms):
 def _identity_row_lengths(family, basis, enc, ms):
     """d(1, x) for the points x encoded on `basis` as rows enc with
     exponents ms, as an int64 array: the identity row of
-    _encoded_word_lengths, with no decoding of the points."""
+    _encoded_word_lengths, with no decoding of the points.
+
+    The trust gate of every caller that reads lengths this way: it raises
+    UnvalidatedFamilyError unless family's a_length is validated or
+    trusted."""
+    _require_validated(family)
     one = basis.encode([family.identity()])
     return _encoded_word_lengths(basis, one, np.zeros(1, dtype=np.int64), enc, ms)[0]
 
@@ -579,7 +589,6 @@ def ball_points(family, radius, window=None, sample=None, seed=0):
     points' rows and columns in key order, in the smallest signed type that
     holds 2 radius.  Returns (points, DistanceMatrix).
     """
-    _require_validated(family)
     if window is None:
         window = family.default_window(radius)
     if sample is None:
@@ -738,7 +747,7 @@ def _sample_encoded(family, count, max_len=8, seed=0, window=None):
 
 
 @dataclass
-class DistortionReport:
+class DistortionReport(Report):
     family: dict
     window: dict
     m_max: int
@@ -752,16 +761,7 @@ class DistortionReport:
         return not self.violation_count
 
     def as_dict(self):
-        return {
-            "family": self.family,
-            "window": self.window,
-            "m_max": self.m_max,
-            "checked": self.checked,
-            "violations": self.violations,
-            "violation_count": self.violation_count,
-            "complete": self.complete,
-            "passed": self.passed,
-        }
+        return {**super().as_dict(), "passed": self.passed}
 
 
 def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaustive_cap=4096):

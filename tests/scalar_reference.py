@@ -211,7 +211,6 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
     if window is None:
         window = family.default_window(6)
     a_window = list(family.iter_A_window(window))
-    trusted = family.unchecked()  # distortion_check is ungated
     rng = random.Random(seed)
     violations = []
     checked = 0
@@ -244,7 +243,7 @@ def distortion_check(family, m_max=3, window=None, samples=1000, seed=0, exhaust
                 batch.append(h)
         for h in batch:
             checked += 1
-            wl = word_length(h_point(trusted, h))
+            wl = word_length(h_point(family, h))
             if wl > bound:
                 violations.append({"m": m, "h": family.format_h(h), "length": wl, "bound": bound})
     return DistortionReport(

@@ -399,7 +399,7 @@ DISTORTIONS = {
         PROD,
         dict(window=ProductWindow(LamplighterWindow(0, 2, 4), NadicWindow(1, 2, 4), 4), exhaustive_cap=300, samples=40),
     ),
-    "spoof": (SPOOF, dict(window=LamplighterWindow(-2, 2, 4))),
+    "spoof": (SPOOF.unchecked(), dict(window=LamplighterWindow(-2, 2, 4))),
     # The BFS depths 3, 4 and 5 over the default A hold 97, 129 and 161 points.
     "nadic-cap97": (N2, dict(exhaustive_cap=97, samples=40)),
     "nadic-cap128": (N2, dict(exhaustive_cap=128, samples=40)),
@@ -436,6 +436,10 @@ class TestDistortion:
         for report in (got, want):
             report["violations"].sort(key=lambda v: (v["m"], v["h"]))
         assert got == want and not got["complete"]
+
+    def test_spoof_needs_unchecked(self):
+        with pytest.raises(UnvalidatedFamilyError):
+            distortion_check(SPOOF, m_max=2)
 
     def test_nadic_default_counts(self):
         # 65 + 129 + 257 elements: A^2, A^4 and A^8 for the 33 elements of A

@@ -188,6 +188,14 @@ class TestQiProbe:
         with pytest.raises(UnvalidatedFamilyError):
             tree_qi_probe(SpoofIdentityFamily(2), count=10, max_len=4)
 
+    def test_non_lamplighter_family_refused_before_sampling(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sampled before the family was checked")
+
+        monkeypatch.setattr(trees, "_sample_encoded", refuse)
+        with pytest.raises(TreeError):
+            tree_qi_probe(NadicFamily(2), count=10, max_len=4)
+
 
 class TestRegularTreeBall:
     def test_line_case(self):
