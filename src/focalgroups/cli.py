@@ -79,7 +79,7 @@ def _factor_window(family, text, levels):
 
 def _emit(args, payload, text=None):
     if text is None:
-        text = json.dumps(payload, sort_keys=True, indent=2, default=str)
+        text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -1073,8 +1073,8 @@ def verify_confining(family, window=None, exhaust_depth=8, max_elements=100000):
     settle <= exhaust_depth on the identity row over the window: settle
     is the least k with alpha^k(h) in A, and alpha(A) inside A keeps
     membership from there on (word_length's scan rests on the same).  (c) takes the inverted A-letters as rows and the A-letters as
-    columns, so pair (i, j) is a_i a_j, and tests lengths(n0) in row
-    blocks of metric.PAIRS_PER_BLOCK pairs.
+    columns, so pair (i, j) is a_i a_j, and tests lengths(n0) in the row
+    blocks of metric.row_blocks.
 
     At most max_elements A-letters, window elements and pairs (the first,
     in row-major order) are checked.  Failures are listed in that order,
@@ -1137,10 +1137,9 @@ def verify_confining(family, window=None, exhaust_depth=8, max_elements=100000):
         inv = basis.encode(inverses)
         pairs = min(n * n, max_elements)
         rows = -(-pairs // n)
-        step = max(1, metric.PAIRS_PER_BLOCK // n)
-        for lo in range(0, rows, step):
-            hi = min(lo + step, rows)
-            bad = outside_A(basis.take(inv, slice(lo, hi)), np.zeros(hi - lo, dtype=np.int64), A, n, family.n0) + lo * n
+        for block in metric.row_blocks(rows, n):
+            row_ms = np.zeros(block.stop - block.start, dtype=np.int64)
+            bad = outside_A(basis.take(inv, block), row_ms, A, n, family.n0) + block.start * n
             for i, j in (divmod(int(k), n) for k in bad[bad < pairs]):
                 a, b = a_window[i], a_window[j]
                 prod = family.alpha_pow(family.multiply(a, b), family.n0)

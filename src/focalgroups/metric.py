@@ -25,12 +25,7 @@ _speedups = None
 USE_SPEEDUPS = False
 
 EXHAUSTIVE_CUTOFF = 64
-# Entries per array temporary in the batched kernels, whatever the size of
-# the input: pairs per block of rows in words._encoded_word_lengths, products
-# per block of frontier rows in words.breadth_first, pairs per block of rows
-# in families.verify_confining, and float32 operand entries per chunk of
-# basepoints in _defect2_at (at least one basepoint).  Each reads it here at
-# call time, so one patch of metric.PAIRS_PER_BLOCK reaches all four.
+# Entries per array temporary in the batched kernels, read only by row_blocks.
 PAIRS_PER_BLOCK = 1 << 16
 # Basepoints drawn besides the centre above the exhaustive cutoff.
 SEEDED_BASEPOINTS = 1
@@ -38,6 +33,19 @@ SEEDED_BASEPOINTS = 1
 
 class MetricError(ValueError):
     pass
+
+
+def row_blocks(count, width, most=None):
+    """Consecutive slices covering range(count), each of at most
+    PAIRS_PER_BLOCK // width rows of `width` entries and at most `most`
+    rows, and of one row at least: a row wider than PAIRS_PER_BLOCK goes
+    alone.  Every batched kernel cuts its rows here, and PAIRS_PER_BLOCK
+    is read at the call, so one patch of it reaches them all."""
+    step = PAIRS_PER_BLOCK // width
+    if most is not None:
+        step = min(step, most)
+    step = max(1, step)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 class Report:
@@ -224,12 +232,12 @@ def _defect2_at(d, xs):
     are read from a presence mask over that range.  The levels run from
     the top: g[y,w] <= 2 min(d(x,y), d(x,w)), so level v only involves the
     points with 2 d(x,.) >= v, a prefix once each basepoint's points are
-    sorted farthest first; and no level v can raise a defect above v -
-    min g.  So a level batches only its live basepoints, those with at
+    sorted farthest first; and no level v can raise a defect above v, as
+    g >= 0.  So a level batches only its live basepoints, those with at
     least two points in their prefix (with one, only (y, y) is reached,
-    and g[y,y] >= v cannot beat) and with v - min g above their defect,
-    up to the longest of their prefixes; the scan stops when v - min g no
-    longer beats the least defect found.  A live basepoint whose defect is
+    and g[y,y] >= v cannot beat) and with v above their defect, up to the
+    longest of their prefixes; the scan stops when v no longer beats the
+    least defect found.  A live basepoint whose defect is
     still 0 also skips the matmul at a level where g >= v is an
     equivalence relation on its points, as at every level of a tree: then
     the product reaches only the pairs with g >= v, none of which beats 0.
@@ -252,10 +260,10 @@ def _defect2_at(d, xs):
     a level only looks for its best pair at the live basepoints where some
     reached pair beats the defect found so far; there the pair is the
     first (y, z) in row-major order of least g[y,z] among those reached.
-    A level runs on chunks of its live basepoints whose float32 operands
-    hold at most PAIRS_PER_BLOCK entries (one basepoint at least), each on
-    the longest prefix in its chunk, so its temporaries stay bounded
-    however many basepoints there are.
+    A level runs on the chunks of its live basepoints that row_blocks
+    cuts for their k x k float32 operands, each on the longest prefix in
+    its chunk, so its temporaries stay bounded however many basepoints
+    there are.
     """
     xs = np.asarray(xs, dtype=np.intp)
     top = 2 * int(d.max())
@@ -267,22 +275,21 @@ def _defect2_at(d, xs):
     present[g.ravel()] = True
     levels = np.flatnonzero(present)[::-1].tolist()
     prefix = (2 * dx[:, :, None] >= levels).sum(axis=1)
-    gmin, rows = levels[-1], np.arange(len(xs))
+    rows = np.arange(len(xs))
     best = np.zeros(len(xs), dtype=np.int64)
     y = np.zeros(len(xs), dtype=np.intp)
     z = np.zeros(len(xs), dtype=np.intp)
     i = 0
-    while i < len(levels) and levels[i] - gmin > best.min():
+    while i < len(levels) and levels[i] > best.min():
         v, ks = levels[i], prefix[:, i]
-        live = np.flatnonzero((ks >= 2) & (v - gmin > best))
+        live = np.flatnonzero((ks >= 2) & (v > best))
         k = int(ks[live].max(initial=0))
         paired = v % 2 == 0 and levels[i + 1 : i + 2] == [v - 1] and k <= PAIRED_PREFIX_LIMIT
         i += 1 + paired
         if not live.size:
             continue
-        step = max(1, PAIRS_PER_BLOCK // (k * k))
-        for lo in range(0, len(live), step):
-            chunk = live[lo : lo + step]
+        for block in row_blocks(len(live), k * k):
+            chunk = live[block]
             _run_level(v, paired, g, chunk, int(ks[chunk].max()), best, y, z)
     return best, np.stack([order[rows, y], order[rows, z]], axis=1)
 

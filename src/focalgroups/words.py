@@ -248,10 +248,8 @@ def pairwise_word_lengths(xs, ys):
     g = alpha^-m_x(h_x^-1 h_y) and m = m_y - m_x, and the minimum over
     i >= max(0, -m) of 2i + m + a_length(alpha^i g) is read at one i per
     pair, the later of max(0, -m) and the pair's knee (the pair kernel of
-    the family's basis gives it).  Both sides are encoded
-    once on one basis, the rows in order of m_x (see
-    _encoded_word_lengths for why), and go through _encoded_word_lengths
-    with every column in each block.
+    the family's basis gives it).  Both sides are encoded once on one
+    basis and go through _encoded_word_lengths.
     """
     if not xs or not ys:
         return np.zeros((len(xs), len(ys)), dtype=np.int64)
@@ -262,53 +260,53 @@ def pairwise_word_lengths(xs, ys):
     for f in {id(p.family): p.family for p in itertools.chain(xs, ys)}.values():
         _require_validated(f)
     basis = family.basis([p.h for p in itertools.chain(xs, ys)], 1, 0)
-    row_ms = np.array([x.m for x in xs], dtype=np.int64)
-    order = np.argsort(row_ms, kind="stable")
-    R = basis.encode([xs[i].h for i in order.tolist()])
-    C = basis.encode([y.h for y in ys])
-    return _encoded_word_lengths(basis, R, row_ms[order], C, np.array([y.m for y in ys], dtype=np.int64), at=order)
+    R, row_ms = basis.encode([x.h for x in xs]), np.array([x.m for x in xs], dtype=np.int64)
+    return _encoded_word_lengths(basis, R, row_ms, basis.encode([y.h for y in ys]), np.array([y.m for y in ys], dtype=np.int64))
 
 
-def _encoded_word_lengths(basis, R, row_ms, C, col_ms, at=None, symmetric=False, dtype=np.int64):
-    """d(x_i, y_j) for encoded rows R and columns C, as an array of
-    `dtype`, which must hold every one of them.
+def _encoded_word_lengths(basis, R, row_ms, C=None, col_ms=None, dtype=np.int64):
+    """d(x_i, y_j) for encoded rows R and columns C, in the given order, as
+    an array of `dtype`, which must hold every one of them.  With C None,
+    the columns are R itself.
 
-    Rows go in blocks of consecutive rows, at most PAIRS_PER_BLOCK pairs
-    a block.  The result does not depend on their order, but callers pass
-    them in order of m (row_ms ascending): on a product basis a block
-    whose rows share one exponent seldom runs the knee step-back of
+    The rows run in order of m, in the blocks of metric.row_blocks, and
+    each block is written straight to its rows of the result.  No length
+    depends on that order, but on a product basis a block whose rows share
+    one exponent seldom runs the knee step-back of
     ProductBasis.pair_a_lengths, two more length evaluations over the
-    whole block a round, and a block of mixed exponents mostly does.
+    whole block a round, and a block of mixed exponents mostly does (in
+    key order, ball_points on product(nadic:2,nadic:3) r2 runs it on 25
+    of 33 blocks instead of 5).
 
-    Encoded row r is written straight to row at[r] of the result (row r
-    when at is None).  With `symmetric`, C is R itself, column c goes to
-    column at[c], and the matrix is symmetric with a zero diagonal: each
-    block runs only against the columns from its own first row on and is
-    mirrored, and blocks hold at most a third of the rows, so every set
-    of points does about two thirds of the pairs or fewer.  The columns
-    are moved to at[c] a block of rows at a time, so the result is the
-    only matrix-sized array.
+    The square matrix of R against itself is symmetric with a zero
+    diagonal: each block runs only against the columns from its own first
+    row on and is mirrored, and blocks hold at most a third of the rows,
+    so every set of points does about two thirds of the pairs or fewer.
+    Its columns are moved back to the given order a block of rows at a
+    time, so the result is the only matrix-sized array.
     """
-    n_rows, n_cols = len(row_ms), len(col_ms)
+    square = C is None
+    n_rows = len(row_ms)
+    n_cols = n_rows if square else len(col_ms)
     out = np.empty((n_rows, n_cols), dtype=dtype)
     if not n_rows or not n_cols:
         return out
-    at = np.arange(n_rows) if at is None else at
-    step = metric.PAIRS_PER_BLOCK // n_cols
-    if symmetric:
-        step = min(step, -(-n_rows // 3))
-    step = max(1, step)
-    for lo in range(0, n_rows, step):
-        rows, cols = slice(lo, lo + step), slice(lo if symmetric else 0, None)
+    at = np.argsort(row_ms, kind="stable")
+    R, row_ms = basis.take(R, at), row_ms[at]
+    if square:
+        C, col_ms = R, row_ms
+    blocks = metric.row_blocks(n_rows, n_cols, most=-(-n_rows // 3) if square else None)
+    for rows in blocks:
+        cols = slice(rows.start if square else 0, None)
         block, _ = _block_word_lengths(basis, basis.take(R, rows), row_ms[rows], basis.take(C, cols), col_ms[cols])
         out[at[rows], cols] = block
-        if symmetric:
+        if square:
             out[at[cols], rows] = block.T
-    if symmetric:
-        # Column c of each row still holds encoded column c.
+    if square:
+        # Column c of each row still holds the row of m-order c.
         to = np.argsort(at)
-        for lo in range(0, n_rows, step):
-            out[lo : lo + step] = out[lo : lo + step].take(to, axis=1)
+        for rows in blocks:
+            out[rows] = out[rows].take(to, axis=1)
     return out
 
 
@@ -435,8 +433,8 @@ class Sweep:
 def breadth_first(law, levels, window=None, cap=None):
     """Level-synchronous BFS from the identity over the law's generators.
 
-    Each level multiplies the frontier by every generator in blocks of
-    frontier rows of at most PAIRS_PER_BLOCK products and keeps the new
+    Each level multiplies the frontier by every generator in the row
+    blocks of metric.row_blocks, one product per pair, and keeps the new
     points in first-occurrence order (the order of a point-by-point scan
     of frontier x generators).  With a window, products outside it are
     dropped and the sweep is truncated; with a cap, checked after each
@@ -445,12 +443,11 @@ def breadth_first(law, levels, window=None, cap=None):
     """
     enc, ms = law.encode([identity_point(law.family)])
     by_depth, seen, count = [(enc, ms)], set(law.keys(enc, ms)), 1
-    step = max(1, metric.PAIRS_PER_BLOCK // len(law.gen_ms))
     truncated = capped = closed = False
     for depth in range(1, levels + 1):
         found = []
-        for lo in range(0, len(ms), step):
-            cand, cand_ms = law.times(*law.take(enc, ms, slice(lo, lo + step)))
+        for rows in metric.row_blocks(len(ms), len(law.gen_ms)):
+            cand, cand_ms = law.times(*law.take(enc, ms, rows))
             if window is not None:
                 inside = (np.abs(cand_ms) <= window.levels) & law.basis.in_window(cand, window)
                 truncated = truncated or not inside.all()
@@ -513,14 +510,10 @@ def bfs_oracle(family, window=None, radius=5):
     """
     if window is None:
         window = family.default_window(radius)
-    by_key = {}
-    for a in family.iter_A_window(window):
-        if a == family.identity():
-            continue
-        for g in (a, family.invert(a)):
-            if family.in_A(g) and family.in_window(g, window):
-                by_key[family.canonical_bytes(g)] = GroupPoint(family, g, 0)
-    gens = list(by_key.values()) + [alpha_point(family, 1), alpha_point(family, -1)]
+    # The window's A-letters are distinct and closed under inversion, but
+    # an n-adic window with xmax = 0 lists letters outside itself.
+    letters = [h_point(family, a) for a in window_a_letters(family, window) if family.in_window(a, window)]
+    gens = letters + [alpha_point(family, 1), alpha_point(family, -1)]
 
     sweep = breadth_first(Products(gens, radius + 1), radius, window=window, cap=BALL_POINT_LIMIT)
     if sweep.capped:
@@ -583,11 +576,9 @@ def ball_points(family, radius, window=None, sample=None, seed=0):
     of that encoding with their exponents as an int64 array.  The
     identity row over them is the radius filter.  Keys come from
     canonical_bytes(h), once per window element, plus @m, and only the
-    kept points become GroupPoints.  The kept rows run against themselves
-    as a triangle: in order of m, each block of rows only against the
-    columns from its own start on, mirrored, and written straight to its
-    points' rows and columns in key order, in the smallest signed type that
-    holds 2 radius.  Returns (points, DistanceMatrix).
+    kept points become GroupPoints.  The kept rows, in key order, run
+    against themselves through _encoded_word_lengths, into the smallest
+    signed type that holds 2 radius.  Returns (points, DistanceMatrix).
     """
     if window is None:
         window = family.default_window(radius)
@@ -612,14 +603,9 @@ def ball_points(family, radius, window=None, sample=None, seed=0):
     order = sorted(range(len(keys)), key=keys.__getitem__)
     pts = [GroupPoint(family, hs[h_of[r]], m) for r, m in zip(order, ms[order].tolist())]
     ids = [keys[r].decode() for r in order]
-    # The matrix runs on the sorted points in order of m: its encoded row
-    # r is sorted point by_m[r].
-    by_m = np.argsort(ms[order], kind="stable")
-    rows = np.array(order, dtype=np.intp)[by_m]
-    R = basis.take(cands, kept[rows])
     # Two points of the ball lie at most 2 radius apart.
     dtype = np.min_scalar_type(-1 - 2 * radius)
-    d = _encoded_word_lengths(basis, R, ms[rows], R, ms[rows], at=by_m, symmetric=True, dtype=dtype)
+    d = _encoded_word_lengths(basis, basis.take(cands, kept[order]), ms[order], dtype=dtype)
     return pts, DistanceMatrix(ids, d)
 
 

@@ -1,12 +1,15 @@
 import argparse
 import hashlib
 import json
+import pathlib
+import shlex
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 
 from focalgroups import boundary, words
-from focalgroups.cli import _delta_verdict, build_parser, main
+from focalgroups.cli import _delta_verdict, _emit, build_parser, main
 from focalgroups.families import LamplighterFamily
 from focalgroups.metric import graph_distance_matrix
 
@@ -572,3 +575,25 @@ def test_stdout_is_pinned(capsys, argv, sha256):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_emit_refuses_values_json_cannot_hold():
+    # Every payload is JSON-native; a Fraction that slipped through would
+    # otherwise print as "1/2".
+    with pytest.raises(TypeError):
+        _emit(argparse.Namespace(out=None), {"delta": Fraction(1, 2)})
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    block = README.read_text().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("focalgroups ")]
+
+
+def test_readme_commands_run(capsys):
+    commands = readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv

@@ -21,6 +21,7 @@ from focalgroups.metric import (
     gromov_product,
     hyperbolicity_bound,
     qi_embedding_check,
+    row_blocks,
     _defect2_at,
 )
 from focalgroups.trees import millefeuille, regular_tree_ball
@@ -364,6 +365,24 @@ class TestFourPointDelta:
     def test_report_json_fields(self):
         rep = four_point_delta(path_metric(5)).as_dict()
         assert set(rep) == {"delta", "upper", "method", "witness", "n_points", "exhaustive", "samples", "seed"}
+
+
+class TestRowBlocks:
+    @given(
+        count=st.integers(0, 300),
+        width=st.integers(1, 400),
+        most=st.none() | st.integers(1, 50),
+        block=st.sampled_from([1, 7, 100, metric.PAIRS_PER_BLOCK]),
+    )
+    def test_cover_in_order_within_both_bounds(self, count, width, most, block):
+        # A row wider than the block still goes, alone.
+        with mock.patch.object(metric, "PAIRS_PER_BLOCK", block):
+            blocks = row_blocks(count, width, most)
+        assert [i for b in blocks for i in range(count)[b]] == list(range(count))
+        for b in blocks:
+            size = b.stop - b.start
+            assert size >= 1 and (size == 1 or size * width <= block)
+            assert most is None or size <= most
 
 
 class TestBoundComparison:

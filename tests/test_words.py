@@ -152,6 +152,14 @@ def windows(family):
     return st.builds(NadicWindow, st.integers(0, 3), st.integers(0, 3), st.integers(0, 7))
 
 
+def lists_outside(window):
+    """Whether the window's A-letters may lie outside it: an n-adic window
+    with xmax = 0 still lists the letters of [-1, 1]."""
+    if isinstance(window, ProductWindow):
+        return lists_outside(window.left) or lists_outside(window.right)
+    return isinstance(window, NadicWindow) and window.xmax == 0
+
+
 def outcome(f, *args, **kwargs):
     try:
         return f(*args, **kwargs)
@@ -295,6 +303,30 @@ class TestBfsOracle:
         for key in res.trusted:
             assert res.dist[key] == word_length(res.points[key])
 
+    @pytest.mark.parametrize("family", FAMILIES + [SpoofIdentityFamily(2)], ids=lambda f: f.name)
+    @given(data=st.data())
+    def test_generators_are_the_window_letters(self, family, data):
+        # The window's A-letters are distinct, in A and closed under
+        # inversion, so the oracle's A-generators, the letters inside the
+        # window, are the old walk's set: each letter of iter_A_window but
+        # the identity, with its inverse, kept when in A and in the window.
+        window = data.draw(windows(family), label="window")
+        letters = list(window_a_letters(family, window))
+        keys = {family.canonical_bytes(a) for a in letters}
+        assert len(keys) == len(letters)
+        assert all(family.in_A(a) and a != family.identity() for a in letters)
+        assert {family.canonical_bytes(family.invert(a)) for a in letters} == keys
+        assert all(family.in_window(a, window) for a in letters) or lists_outside(window)
+        walked = set()
+        for a in family.iter_A_window(window):
+            for g in (a, family.invert(a)):
+                if a != family.identity() and family.in_A(g) and family.in_window(g, window):
+                    walked.add(family.canonical_bytes(g))
+        gens = bfs_oracle(family.unchecked(), window, radius=0).generators
+        assert [family.canonical_bytes(g.h) for g in gens[-2:]] == [family.canonical_bytes(family.identity())] * 2
+        got = [family.canonical_bytes(g.h) for g in gens[:-2]]
+        assert len(got) == len(walked) and set(got) == walked
+
     def test_distance_matrix_view(self):
         res = bfs_oracle(L2, LamplighterWindow(-2, 2, 3), radius=3)
         D = res.distance_matrix()
@@ -415,6 +447,57 @@ class TestPairwiseWordLengths:
         assert [list(zip(b, a)) for b, a in zip(best.tolist(), at.tolist())] == want
         with mock.patch.object(metric, "PAIRS_PER_BLOCK", 3):
             assert pairwise_word_lengths(xs, ys).tolist() == best.tolist()
+
+    @pytest.mark.parametrize("block", [1, 7, metric.PAIRS_PER_BLOCK])
+    @pytest.mark.parametrize("spec", sorted(H_STRATEGIES))
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_driver_keeps_the_given_order(self, spec, block, data):
+        # Shuffled rows and columns give the same matrix shuffled the same
+        # way, in both shapes: the driver's own order by m never leaks out.
+        family, hs = H_STRATEGIES[spec]
+        xs = data.draw(point_lists(family, hs), label="xs")
+        ys = data.draw(point_lists(family, hs), label="ys")
+        p = data.draw(st.permutations(range(len(xs))), label="p")
+        q = data.draw(st.permutations(range(len(ys))), label="q")
+        basis = family.basis([x.h for x in xs + ys], 1, 0)
+
+        def enc(pts, order):
+            return basis.encode([pts[i].h for i in order]), np.array([pts[i].m for i in order], dtype=np.int64)
+
+        same_x, same_y = range(len(xs)), range(len(ys))
+        with mock.patch.object(metric, "PAIRS_PER_BLOCK", block):
+            full = words._encoded_word_lengths(basis, *enc(xs, same_x), *enc(ys, same_y))
+            shuffled = words._encoded_word_lengths(basis, *enc(xs, p), *enc(ys, q))
+            square = words._encoded_word_lengths(basis, *enc(xs, same_x))
+            square_shuffled = words._encoded_word_lengths(basis, *enc(xs, p))
+        assert np.array_equal(full, scalar_matrix(xs, ys))
+        assert np.array_equal(shuffled, full[np.ix_(p, q)])
+        assert np.array_equal(square, scalar_matrix(xs, xs))
+        assert np.array_equal(square_shuffled, square[np.ix_(p, p)])
+
+    def test_rows_reach_the_kernel_in_order_of_m(self, monkeypatch):
+        # Within and across the blocks of one call, in both shapes: on a
+        # product basis a block of one exponent seldom runs the knee
+        # step-back, and no length shows the order.
+        kernel, seen = words._block_word_lengths, []
+
+        def spy(basis, R, row_ms, C, col_ms):
+            seen.append(row_ms.tolist())
+            return kernel(basis, R, row_ms, C, col_ms)
+
+        monkeypatch.setattr(words, "_block_word_lengths", spy)
+        monkeypatch.setattr(metric, "PAIRS_PER_BLOCK", 200)
+        pts = sample_points(PROD, 60, max_len=5, seed=5)
+        random.Random(0).shuffle(pts)
+        assert sorted(x.m for x in pts) != [x.m for x in pts]
+        basis = PROD.basis([x.h for x in pts], 1, 0)
+        enc, ms = basis.encode([x.h for x in pts]), np.array([x.m for x in pts], dtype=np.int64)
+        for call in (lambda: pairwise_word_lengths(pts, pts[:30]), lambda: words._encoded_word_lengths(basis, enc, ms)):
+            seen.clear()
+            call()
+            rows = [m for block in seen for m in block]
+            assert len(seen) > 1 and rows == sorted(x.m for x in pts)
 
     def test_identity_row_is_word_length(self):
         pts = sample_points(N2, 40, max_len=7, seed=3)
