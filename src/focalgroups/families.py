@@ -23,6 +23,9 @@ from . import metric
 INF = float("inf")
 # int64 stand-in for INF in the array kernels, far above any radius or length.
 ARRAY_INF = 1 << 62
+# The most elements a product window (or its A) may hold: a larger one is a
+# configuration error, so the cap never narrows what a report covers.
+PRODUCT_WINDOW_CAP = 20_000
 
 
 class FamilyError(ValueError):
@@ -141,9 +144,9 @@ class GroupFamily:
         raise NotImplementedError
 
     def iter_A_window(self, window):
-        """All A-elements inside the window, in a_window_letter order.  The
-        shape is read at the call, so a window too large to list raises
-        then."""
+        """The window's elements in A, in iter_window order: only the
+        identity when the window holds no other element of A.  The shape
+        is read at the call, so a window too large to list raises then."""
         size, _ = self.a_window_shape(window)
         return (self.a_window_letter(window, i) for i in range(size))
 
@@ -813,7 +816,10 @@ class NadicFamily(GroupFamily):
         return f"{{{h}}}"
 
     def parse_gen(self, text):
-        return self._check(Fraction(text.strip()))
+        try:
+            return self._check(Fraction(text.strip()))
+        except ZeroDivisionError:
+            raise FamilyError(f"n-adic generator {text.strip()!r} divides by zero") from None
 
     def config(self):
         return {"family": "nadic", "n": self.n}
@@ -827,12 +833,13 @@ class NadicFamily(GroupFamily):
             yield Fraction(k, den)
 
     def a_window_shape(self, window):
-        den = self.n**window.dpow
-        return 2 * den + 1, den
+        # k / n^dpow for |k| <= min(xmax, 1) n^dpow: an xmax = 0 window's A is {0}.
+        half = min(window.xmax, 1) * self.n**window.dpow
+        return 2 * half + 1, half
 
     def a_window_letter(self, window, index):
         den = self.n**window.dpow
-        return Fraction(index - den, den)
+        return Fraction(index - min(window.xmax, 1) * den, den)
 
     def in_window(self, h, window):
         # In lowest terms, h * n^dpow is an integer exactly when h's
@@ -845,17 +852,13 @@ class ProductWindow(metric.Report):
     left: object
     right: object
     levels: int
-    cap: int = 20000
 
     def __post_init__(self):
         _check_levels(self.levels)
 
     def as_dict(self):
-        """The factor windows nested.  The cap stays out: a window above it
-        raises, so it never narrows what a report covers."""
-        out = super().as_dict()
-        del out["cap"]
-        return {**out, "left": self.left.as_dict(), "right": self.right.as_dict()}
+        """The factor windows nested."""
+        return {**super().as_dict(), "left": self.left.as_dict(), "right": self.right.as_dict()}
 
 
 class ProductFamily(GroupFamily):
@@ -951,13 +954,13 @@ class ProductFamily(GroupFamily):
 
     def iter_window(self, window):
         left, right = list(self.left.iter_window(window.left)), list(self.right.iter_window(window.right))
-        _check_cap(window, len(left) * len(right))
+        _check_cap(len(left) * len(right))
         return itertools.product(left, right)
 
     def a_window_shape(self, window):
-        # Pairs in row-major order, under the window's cap.
+        # Pairs in row-major order, under the product cap.
         (nl, il), (nr, ir) = self.left.a_window_shape(window.left), self.right.a_window_shape(window.right)
-        _check_cap(window, nl * nr)
+        _check_cap(nl * nr)
         return nl * nr, il * nr + ir
 
     def a_window_letter(self, window, index):
@@ -968,9 +971,9 @@ class ProductFamily(GroupFamily):
         return self.left.in_window(h[0], window.left) and self.right.in_window(h[1], window.right)
 
 
-def _check_cap(window, size):
-    if size > window.cap:
-        raise FamilyError(f"product window has {size} elements, above its cap of {window.cap}")
+def _check_cap(size):
+    if size > PRODUCT_WINDOW_CAP:
+        raise FamilyError(f"product window has {size} elements, above its cap of {PRODUCT_WINDOW_CAP}")
 
 
 def family_from_config(config):

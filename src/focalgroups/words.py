@@ -499,7 +499,8 @@ class BfsResult:
 
 def bfs_oracle(family, window=None, radius=5):
     """Exact distances from the identity in the Cayley graph restricted
-    to the window, over generators (windowed A) u {alpha+-}.
+    to the window, over the window's A-letters other than the identity
+    (distinct, inside the window and closed under inversion) and alpha+-.
 
     Window distances can only overestimate d_S; an element is marked
     trusted when an explicitly verified geodesic witness stays inside
@@ -510,9 +511,7 @@ def bfs_oracle(family, window=None, radius=5):
     """
     if window is None:
         window = family.default_window(radius)
-    # The window's A-letters are distinct and closed under inversion, but
-    # an n-adic window with xmax = 0 lists letters outside itself.
-    letters = [h_point(family, a) for a in window_a_letters(family, window) if family.in_window(a, window)]
+    letters = [h_point(family, a) for a in window_a_letters(family, window)]
     gens = letters + [alpha_point(family, 1), alpha_point(family, -1)]
 
     sweep = breadth_first(Products(gens, radius + 1), radius, window=window, cap=BALL_POINT_LIMIT)
@@ -665,14 +664,16 @@ def _sample_encoded(family, count, max_len=8, seed=0, window=None):
     of the letters drawn so far, then deduplicated on (row key, m) in draw
     order.  A chunk that draws a new letter rebuilds the basis and
     re-encodes the points kept so far.  Words drawn past the point where a
-    word-by-word loop stops are ignored, and an A-letter drawn from a
-    window whose A is the identity alone raises only if that loop would
-    have drawn it.
+    word-by-word loop stops are ignored.  A window whose A is the identity
+    alone has no letter to draw, so asking it for points is a FamilyError,
+    raised before anything is drawn.
     """
     if window is None:
         window = family.default_window(max_len)
     rng = random.Random(seed)
     a_letters = window_a_letters(family, window)
+    if count > 0 and not a_letters:
+        raise FamilyError("cannot sample a window whose A holds only the identity")
     indices = range(len(a_letters))
     letters, row_of = [], {}  # the distinct letters drawn, and the row of each index
     basis = family.basis(letters, max_len, max_len)
@@ -685,26 +686,23 @@ def _sample_encoded(family, count, max_len=8, seed=0, window=None):
         missing = count - len(kept_ms)
         size = -(-2 * missing * attempts // len(kept_ms)) if len(kept_ms) else missing
         size = min(size, 50 * count - attempts)
-        known, error = len(letters), None
+        known = len(letters)
         word_of, rows, twists, ms = [], [], [], []
-        try:
-            for w in range(size):
-                m = 0
-                for letter in random_word(family, rng, max_len, indices):
-                    if not isinstance(letter, Gen):
-                        m += 1 if letter == ALPHA else -1
-                        continue
-                    i = letter.payload
-                    if i not in row_of:
-                        row_of[i] = len(letters)
-                        letters.append(a_letters[i])
-                        check_word(family, [Gen(letters[-1])])
-                    word_of.append(w)
-                    rows.append(row_of[i])
-                    twists.append(m)
-                ms.append(m)
-        except IndexError as exc:  # a window whose A is the identity alone
-            error = exc
+        for w in range(size):
+            m = 0
+            for letter in random_word(family, rng, max_len, indices):
+                if not isinstance(letter, Gen):
+                    m += 1 if letter == ALPHA else -1
+                    continue
+                i = letter.payload
+                if i not in row_of:
+                    row_of[i] = len(letters)
+                    letters.append(a_letters[i])
+                    check_word(family, [Gen(letters[-1])])
+                word_of.append(w)
+                rows.append(row_of[i])
+                twists.append(m)
+            ms.append(m)
         if len(letters) > known:
             new_basis = family.basis(letters, max_len, max_len)
             letter_enc = new_basis.encode(letters)
@@ -722,8 +720,6 @@ def _sample_encoded(family, count, max_len=8, seed=0, window=None):
         kept = basis.concat([kept, basis.take(enc, new)])
         kept_ms = np.concatenate([kept_ms, ms[new]])
         attempts += len(ms)
-        if error is not None and len(kept_ms) < count:
-            raise error
     return basis, kept, kept_ms
 
 

@@ -310,11 +310,14 @@ def schottky(a, b, L):
 
 def sample_points(family, count, max_len=8, seed=0, window=None):
     """words.sample_points drawing each A-letter from a list of every
-    non-identity windowed A-letter."""
+    non-identity windowed A-letter; a window with none has nothing to
+    draw."""
     if window is None:
         window = family.default_window(max_len)
     rng = random.Random(seed)
     a_letters = [a for a in family.iter_A_window(window) if a != family.identity()]
+    if count > 0 and not a_letters:
+        raise FamilyError("cannot sample a window whose A holds only the identity")
     seen, out = set(), []
     attempts = 0
     while len(out) < count and attempts < 50 * count:

@@ -162,6 +162,19 @@ class TestBall:
         _, out, _ = run(capsys, *argv)
         assert "samples_requested" not in json.loads(out) and "complete" not in json.loads(out)
 
+    @pytest.mark.parametrize(
+        "family, window",
+        [("lamplighter:2", "-3,-1"), ("nadic:2", "0,2"), ("product(lamplighter:2,nadic:2)", "-2,-1;0,1")],
+        ids=["lamplighter-hi-below-0", "nadic-xmax-0", "product"],
+    )
+    def test_window_whose_A_is_the_identity(self, capsys, family, window):
+        # No A-letter to sample, and no strictness witness inside the window.
+        code, out, err = run(capsys, "ball", "--family", family, f"--window={window}", "--radius", "2", "--samples", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        code, out, _ = run(capsys, "verify", "--family", family, f"--window={window}")
+        assert code == 2 and json.loads(out)["confining"]["strict_witness"] is None
+
 
 class TestWordsAndElements:
     def test_nf_echo(self, capsys):
@@ -197,8 +210,19 @@ class TestWordsAndElements:
         assert code == 0 and payload["value"] == 1.0
 
     def test_bad_word_is_config_error(self, capsys):
-        code, _, err = run(capsys, "nf", "--family", "lamplighter:2", "oops")
-        assert code == 1 and "error" in err
+        table = [
+            ["nf", "--family", "lamplighter:2", "oops"],
+            ["nf", "--family", "nadic:2", "g{1/0}"],
+            ["dist", "--family", "nadic:2", "g{1/0}"],
+            ["classify", "--family", "nadic:2", "g{1/0}"],
+            ["beta", "--family", "nadic:2", "g{1/0}"],
+            ["schottky", "--family", "nadic:2", "a+", "g{1/0}"],
+            ["nf", "--family", "product(lamplighter:2,nadic:2)", "g{0:1|1/0}"],
+        ]
+        for argv in table:
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 class TestClassify:

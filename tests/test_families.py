@@ -1,7 +1,7 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,10 +9,11 @@ import scalar_reference as ref
 from hypothesis import given
 from hypothesis import strategies as st
 
-from focalgroups import metric
+from focalgroups import families, metric
 from focalgroups.families import (
     ARRAY_INF,
     INF,
+    PRODUCT_WINDOW_CAP,
     FamilyError,
     LamplighterFamily,
     LamplighterWindow,
@@ -38,10 +39,8 @@ ALL = [L2, L3, N2, N3, PROD]
 def window_elements(family, radius=5):
     """Every element of the default window; a product's window is above its
     cap at radius 5, so the cap is raised to take it whole."""
-    window = family.default_window(radius)
-    if isinstance(family, ProductFamily):
-        window = dataclasses.replace(window, cap=10**6)
-    return list(family.iter_window(window))
+    with mock.patch.object(families, "PRODUCT_WINDOW_CAP", 10**6):
+        return list(family.iter_window(family.default_window(radius)))
 
 
 def sample_elements(family, count, seed=0):
@@ -358,18 +357,19 @@ class TestWindows:
         prod = ProductFamily(L2, N2)
         window = prod.default_window(6)
         elements = list(prod.iter_window(window))
-        assert len(elements) == len(set(elements)) == 16512 <= window.cap
+        assert len(elements) == len(set(elements)) == 16512 <= PRODUCT_WINDOW_CAP
         left = list(L2.iter_window(window.left))
         right = list(N2.iter_window(window.right))
         assert len(elements) == len(left) * len(right)
 
-    def test_product_window_above_its_cap_raises(self):
+    def test_product_window_above_its_cap_raises(self, monkeypatch):
         prod = ProductFamily(L2, N2)
         window = prod.default_window(7)
         with pytest.raises(FamilyError, match="20608 elements, above its cap of 20000"):
             prod.iter_window(window)
+        monkeypatch.setattr(families, "PRODUCT_WINDOW_CAP", 3)
         with pytest.raises(FamilyError, match="above its cap of 3"):
-            prod.iter_A_window(dataclasses.replace(window, cap=3))
+            prod.iter_A_window(window)
 
 
 class TestSerialization:

@@ -24,7 +24,6 @@ from focalgroups.families import (
     LamplighterFamily,
     NadicFamily,
     ProductFamily,
-    ProductWindow,
     SpoofIdentityFamily,
     verify_confining,
 )
@@ -44,7 +43,6 @@ OVERRIDES = {
     IsometryType: ({"type"}, {"kind"}),
     ActionVerdict: ({"type"}, {"kind"}),
     SchottkyReport: (QI_KEYS, {"report"}),
-    ProductWindow: (set(), {"cap"}),
 }
 
 

@@ -152,19 +152,24 @@ def windows(family):
     return st.builds(NadicWindow, st.integers(0, 3), st.integers(0, 3), st.integers(0, 7))
 
 
-def lists_outside(window):
-    """Whether the window's A-letters may lie outside it: an n-adic window
-    with xmax = 0 still lists the letters of [-1, 1]."""
-    if isinstance(window, ProductWindow):
-        return lists_outside(window.left) or lists_outside(window.right)
-    return isinstance(window, NadicWindow) and window.xmax == 0
-
-
 def outcome(f, *args, **kwargs):
     try:
         return f(*args, **kwargs)
-    except (IndexError, FamilyError) as exc:
+    except FamilyError as exc:
         return type(exc)
+
+
+@pytest.mark.parametrize(
+    "family",
+    FAMILIES + [LamplighterFamily(3), NadicFamily(10), SpoofIdentityFamily(2), ProductFamily(NadicFamily(3), L2)],
+    ids=lambda f: f.name,
+)
+@given(data=st.data())
+def test_window_letters_are_its_elements_in_A(family, data):
+    # In iter_window order, also where A holds only the identity
+    # (lamplighter hi < 0, n-adic xmax = 0, a product of such sides).
+    window = data.draw(windows(family), label="window")
+    assert list(family.iter_A_window(window)) == [h for h in family.iter_window(window) if family.in_A(h)]
 
 
 class TestSamplePoints:
@@ -316,7 +321,7 @@ class TestBfsOracle:
         assert len(keys) == len(letters)
         assert all(family.in_A(a) and a != family.identity() for a in letters)
         assert {family.canonical_bytes(family.invert(a)) for a in letters} == keys
-        assert all(family.in_window(a, window) for a in letters) or lists_outside(window)
+        assert all(family.in_window(a, window) for a in letters)
         walked = set()
         for a in family.iter_A_window(window):
             for g in (a, family.invert(a)):
