@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .families import FamilyError
 from .metric import QIReport, Report, qi_embedding_check
 from .words import (
     Products,
@@ -95,8 +96,10 @@ class IsometryType(Report):
 
 
 def isometry_type(g, N=32):
-    """Elliptic / parabolic / hyperbolic, exact where a family-level
-    certificate exists (torsion order, unbounded cyclic growth, m != 0)."""
+    """Elliptic / parabolic / hyperbolic from a family-level certificate:
+    m != 0, finite order, or unbounded cyclic growth.  An element with
+    none of them is a FamilyError: every family certifies its elements of
+    infinite order, and a guess from orbit growth is not a verdict."""
     family = g.family
     if g.m != 0:
         # translation number |m| > 0, validated for registered families.
@@ -107,10 +110,7 @@ def isometry_type(g, N=32):
         return IsometryType(ELLIPTIC, N, True, {"order": order})
     if family.h_unbounded(g.h):
         return IsometryType(PARABOLIC, N, True, {"certificate": "unbounded cyclic growth, zero translation number"})
-    lengths = orbit_lengths(g, N)
-    growing = lengths[-1] > lengths[len(lengths) // 2]
-    kind = PARABOLIC if growing else ELLIPTIC
-    return IsometryType(kind, N, False, {"orbit_lengths": lengths[-4:]})
+    raise FamilyError(f"{family.name}: no isometry-type certificate for {g}")
 
 
 # ---------------------------------------------------------------------------

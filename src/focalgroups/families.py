@@ -108,7 +108,9 @@ class GroupFamily:
     def h_unbounded(self, h):
         """True when the cyclic subgroup generated by h is certified
         unbounded in the word metric (family-specific closed-form
-        argument); False means no certificate, not boundedness."""
+        argument); False means no certificate, not boundedness.  A family
+        must certify every h of infinite order (element_order None) here:
+        boundary.isometry_type refuses an element with no certificate."""
         return False
 
     def compaction_index(self):
@@ -234,6 +236,12 @@ class LamplighterBasis:
     past the knee, is the first k' >= k of least cost.  lengths(k) takes an
     int64 array k of the grid's shape, k_ij >= 0, and returns a new array
     of a_length(alpha^k_ij g_ij), with ARRAY_INF for INF.
+
+    delta_ceiling(enc, ms, d) is a proven upper bound on the four-point
+    constant of the points encoded as rows enc with exponents ms, whose
+    distance matrix is d, or None.  Only a twisted lamplighter basis has
+    one, from its coset-tree pair form (tree_pairs); it still checks that
+    form against every entry of d, so nothing is taken on trust.
     """
 
     def __init__(self, q, lo, hi, twisted=True):
@@ -309,13 +317,20 @@ class LamplighterBasis:
         in_A = ~G[:, : max(0, -self.lo)].any(axis=1)
         return [G * in_A[:, None]], in_A
 
+    def _lowest_difference(self, R, C, fill, dtype):
+        """The least position at which the digits of row i of R and row j
+        of C differ, or fill where the rows are equal, on the grid in
+        `dtype`.  It is found one position at a time, highest first: no
+        rows x cols x positions array."""
+        low = np.full((len(R), len(C)), fill, dtype=dtype)
+        for c in range(self.width - 1, -1, -1):
+            np.putmask(low, R[:, c, None] != C[None, :, c], self.lo + c)
+        return low
+
     def pair_a_lengths(self, R, row_ms, C):
         # The lamps of h_i^-1 h_j sit where the digits of h_i and h_j differ;
-        # floor_ij is the least such position (ARRAY_INF where h_i = h_j), found
-        # one position at a time, highest first: no rows x cols x positions array.
-        floor = np.full((len(R), len(C)), ARRAY_INF, dtype=np.int64)
-        for c in range(self.width - 1, -1, -1):
-            np.putmask(floor, R[:, c, None] != C[None, :, c], self.lo + c)
+        # floor_ij is the least such position (ARRAY_INF where h_i = h_j).
+        floor = self._lowest_difference(R, C, ARRAY_INF, np.int64)
         nonempty = floor != ARRAY_INF
         # a_length(alpha^k g_ij) is 0 for the identity, else 1 or INF as the
         # least lamp position floor_ij - m_i + k is >= 0 or not.  With alpha
@@ -327,6 +342,45 @@ class LamplighterBasis:
         else:
             settle = np.where(floor >= 0, -ARRAY_INF, ARRAY_INF)
         return settle, settle, lambda k: np.where(k >= settle, nonempty, ARRAY_INF)
+
+    def tree_pairs(self, R, row_ms, C, col_ms, dtype=np.int64):
+        """The coset-tree pair form (d_T, differs) on the grid of points
+        x_i = (h_i, m_i), encoded as rows R with exponents row_ms, against
+        the columns C with col_ms: d_T[i, j] = m_i + m_j - 2 min(m_i, m_j,
+        u_ij), with u_ij the lowest position at which h_i and h_j differ,
+        is the distance of x_i.o and x_j.o on the coset tree of
+        trees.tree_act, and differs[i, j] is h_i != h_j.  The word metric
+        is d_T + differs (x_i^-1 x_j has its lowest lamp at u_ij - m_i, so
+        word_length's scan settles at i = max(0, m_i - m_j, m_i - u_ij)).
+        `dtype` must hold -3 s and 4 s + 1 for s = max(|lo|, |hi| + 1, |m|),
+        which bound every partial sum."""
+        # Equal rows get u = top, above every position and exponent, which
+        # leaves min(m_i, m_j) as it is.
+        top = max(self.hi + 1, int(row_ms.max(initial=0)), int(col_ms.max(initial=0)))
+        u = self._lowest_difference(R, C, top, dtype)
+        differs = u < top
+        mi, mj = row_ms.astype(dtype)[:, None], col_ms.astype(dtype)[None, :]
+        d_T = np.minimum(np.minimum(u, mi, out=u), mj, out=u)
+        d_T *= -2
+        d_T += mi
+        d_T += mj
+        return d_T, differs
+
+    def delta_ceiling(self, enc, ms, d):
+        # d = d_T + [h != h'] makes d the sum of a tree metric and the
+        # ultrametric of an equivalence relation, both 0-hyperbolic: the
+        # largest pair sum of a quadruple exceeds the second by at most
+        # the second part's spread, 2, so delta <= 1 (see README, metric).
+        if not self.twisted:
+            return None
+        span = max(abs(self.lo), abs(self.hi) + 1, int(np.abs(ms).max(initial=0)))
+        dtype = np.promote_types(d.dtype, np.min_scalar_type(-(4 * span + 2)))
+        for rows in metric.row_blocks(len(ms), len(ms)):
+            d_T, differs = self.tree_pairs(enc[rows], ms[rows], enc, ms, dtype)
+            d_T += differs
+            if not np.array_equal(d_T, d[rows]):
+                return None
+        return Fraction(1)
 
 
 class NadicBasis:
@@ -443,6 +497,9 @@ class NadicBasis:
 
         return settle, knee, lengths
 
+    def delta_ceiling(self, enc, ms, d):
+        return None
+
 
 class ProductBasis:
     """The two factor encodings side by side, as a pair of arrays."""
@@ -502,6 +559,9 @@ class ProductBasis:
             knee -= back
             back &= knee > 0
         return np.maximum(s1, s2), knee, lengths
+
+    def delta_ceiling(self, enc, ms, d):
+        return None
 
 
 def _identity_rows(enc):

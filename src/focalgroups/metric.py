@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -71,10 +72,17 @@ class DistanceMatrix:
 
     d keeps any signed integer type it is given (ball matrices come in the
     smallest one that holds their distances); anything else becomes int64.
-    Sums of distances are taken in int64."""
+    Sums of distances are taken in int64.
+
+    delta_ceiling is a proven upper bound on the four-point constant, or
+    None: ball_points sets it where the family's basis proves one on the
+    ball's own matrix (delta <= 1 on every lamplighter ball), restrict
+    keeps it, as a subset keeps any bound on delta, and from_csv never
+    sets it."""
 
     points: list
     d: np.ndarray
+    delta_ceiling: Fraction | None = None
 
     def __post_init__(self):
         self.d = np.asarray(self.d)
@@ -115,7 +123,7 @@ class DistanceMatrix:
 
     def restrict(self, subset):
         idx = [self.index(p) for p in subset]
-        return DistanceMatrix(list(subset), self.d[np.ix_(idx, idx)])
+        return DistanceMatrix(list(subset), self.d[np.ix_(idx, idx)], self.delta_ceiling)
 
     def to_csv(self, stream):
         writer = csv.writer(stream)
@@ -189,9 +197,12 @@ class DeltaReport(Report):
     """The four-point constant of a finite metric as an interval.
 
     `delta` is attained by the quadruple `witness` = (x, y, z, w) of point
-    ids, so it is a lower bound; `upper` is an upper bound, and the two are
-    equal when `method` is "exact".  `samples` counts the ordered
-    quadruples covered, |basepoints| * n**3.
+    ids, so it is a lower bound; `upper` is an upper bound.  `method` says
+    how they were reached: "exact" (every point a basepoint), "ceiling"
+    (the centre's constant reached the matrix's proven delta_ceiling) or
+    "basepoints" (the centre and a seeded point).  The interval is
+    exhaustive exactly when its two ends meet, whatever the method.
+    `samples` counts the ordered quadruples covered, |basepoints| * n**3.
     """
 
     delta: Fraction
@@ -204,7 +215,7 @@ class DeltaReport(Report):
 
     @property
     def exhaustive(self):
-        return self.method == "exact"
+        return self.delta == self.upper
 
     def as_dict(self):
         return {**super().as_dict(), "exhaustive": self.exhaustive}
@@ -216,12 +227,18 @@ class DeltaReport(Report):
 PAIRED_PREFIX_LIMIT = 254
 
 
-def _defect2_at(d, xs):
+def _defect2_at(d, xs, ceiling=None):
     """Twice the four-point constant at each basepoint x in `xs`: the
     largest min(g[y,w], g[w,z]) - g[y,z] over y, z, w, where g = d[x,:,None]
     + d[x,None,:] - d holds the doubled Gromov products at x.  `d` must be
     a metric.  Returns (defects, yz), where yz[i] is a pair (y, z) of point
     indices that attains defects[i] at xs[i].
+
+    `ceiling`, when given, is a proven integer bound on every defect:
+    a basepoint whose defect reaches it leaves `live`, and the scan ends
+    when every basepoint has.  A level only raises a defect strictly, so
+    no later level could have moved a basepoint's defect or pair, and the
+    result is the one the full scan gives.
 
     The (max,min) product of g with itself is at least v exactly where the
     boolean product of (g >= v) with itself is nonzero, so each distinct
@@ -267,6 +284,8 @@ def _defect2_at(d, xs):
     """
     xs = np.asarray(xs, dtype=np.intp)
     top = 2 * int(d.max())
+    # No defect exceeds top, so a ceiling at or above it ends nothing.
+    ceiling = top if ceiling is None else ceiling
     d = d.astype(np.min_scalar_type(-1 - top), copy=False)
     order = np.argsort(-d[xs], axis=1, kind="stable")
     dx = np.take_along_axis(d[xs], order, axis=1)
@@ -280,9 +299,9 @@ def _defect2_at(d, xs):
     y = np.zeros(len(xs), dtype=np.intp)
     z = np.zeros(len(xs), dtype=np.intp)
     i = 0
-    while i < len(levels) and levels[i] > best.min():
+    while i < len(levels) and best.min() < min(levels[i], ceiling):
         v, ks = levels[i], prefix[:, i]
-        live = np.flatnonzero((ks >= 2) & (v > best))
+        live = np.flatnonzero((ks >= 2) & (best < min(v, ceiling)))
         k = int(ks[live].max(initial=0))
         paired = v % 2 == 0 and levels[i + 1 : i + 2] == [v - 1] and k <= PAIRED_PREFIX_LIMIT
         i += 1 + paired
@@ -357,30 +376,42 @@ def four_point_delta(
     ordered quadruples (the basepoint ranges over the points too).
 
     Exact for point sets up to `exhaustive_cutoff`: every point is a
-    basepoint.  Beyond it, the basepoints are the centre (the first point
-    of least eccentricity) and SEEDED_BASEPOINTS other points drawn with
-    `seed`; `delta` is the largest constant at one of them, and `upper`
-    twice the least, since the four-point constant at one basepoint bounds
-    the constant at every other by a factor of 2 (Bridson-Haefliger,
-    III.H.1.22).
+    basepoint.  Beyond it, the centre (the first point of least
+    eccentricity) runs first when D carries a delta_ceiling: if its
+    constant reaches the ceiling, delta = upper = the ceiling, with method
+    "ceiling" and no seed.  Otherwise, and always without a ceiling, the
+    basepoints are the centre and SEEDED_BASEPOINTS other points drawn
+    with `seed`; `delta` is the largest constant at one of them, and
+    `upper` twice the least, since the four-point constant at one
+    basepoint bounds the constant at every other by a factor of 2
+    (Bridson-Haefliger, III.H.1.22).  The ceiling also ends every
+    basepoint's scan early, which changes no other report.
     """
     n = len(D)
     if n < 1:
         raise MetricError("need at least one point")
     d = D.d
+    ceiling = None if D.delta_ceiling is None else math.floor(2 * D.delta_ceiling)
     if n <= exhaustive_cutoff:
         xs, method, seed = np.arange(n), "exact", None
+        defects, yz = _defect2_at(d, xs, ceiling)
     else:
         centre = int(np.argmin(d.max(axis=1)))
-        others = np.delete(np.arange(n), centre)
-        drawn = np.random.default_rng(seed).choice(others, min(SEEDED_BASEPOINTS, n - 1), replace=False)
-        xs, method = np.concatenate([[centre], drawn]), "basepoints"
-    defects, yz = _defect2_at(d, xs)
+        xs, method = np.array([centre]), "ceiling"
+        if ceiling is not None:
+            defects, yz = _defect2_at(d, xs, ceiling)
+        if ceiling is None or defects[0] < ceiling:
+            others = np.delete(np.arange(n), centre)
+            drawn = np.random.default_rng(seed).choice(others, min(SEEDED_BASEPOINTS, n - 1), replace=False)
+            xs, method = np.concatenate([[centre], drawn]), "basepoints"
+            defects, yz = _defect2_at(d, xs, ceiling)
+        else:
+            seed = None
     i = int(np.argmax(defects))
     x, (y, z) = int(xs[i]), yz[i].tolist()
     dx = d[x].astype(np.int64)
     w = int(np.argmax(np.minimum(dx[y] + dx - d[y], dx + dx[z] - d[:, z])))
-    upper = defects[i] if method == "exact" else 2 * defects.min()
+    upper = 2 * defects.min() if method == "basepoints" else defects[i]
     return DeltaReport(
         delta=Fraction(int(defects[i]), 2),
         upper=Fraction(int(upper), 2),
@@ -394,8 +425,6 @@ def four_point_delta(
 
 def hyperbolicity_bound(n0: int) -> float:
     """The thin-triangle argument's constant 16*log2(n0 + 2)."""
-    import math
-
     return 16 * math.log2(n0 + 2)
 
 

@@ -122,17 +122,16 @@ def tree_transitivity_witness(family, v: TreeVertex, w: TreeVertex) -> GroupPoin
 
 def basepoint_distances(basis, enc, ms):
     """d(o, g.o) for the points g = (h, m) of a lamplighter family encoded
-    as rows enc on `basis` with exponents ms, as an int64 array.
+    as rows enc on `basis` with exponents ms, as an int64 array: the
+    identity row of the basis's coset-tree pair form, tree_pairs.
 
     tree_act puts g.o at level -m with the lamps of h below position m,
     the lowest at p reflected to -p - 1, so its lowest common ancestor
-    with o sits at level max(0, -m, -p) and d(o, g.o) = 2 max(0, -m, -p)
-    + m (with no such lamp, p drops out).
+    with o sits at level max(0, -m, -p) and d(o, g.o) = m - 2 min(0, m, p)
+    (with no lamp, p drops out).
     """
-    positions = np.arange(basis.lo, basis.hi + 1)
-    below = (enc != 0) & (positions < ms[:, None])
-    lowest = np.where(below.any(axis=1), -positions[below.argmax(axis=1)], 0)
-    return 2 * np.maximum(np.maximum(lowest, -ms), 0) + ms
+    one = np.zeros((1, basis.width), dtype=basis.dtype)
+    return basis.tree_pairs(one, np.zeros(1, dtype=np.int64), enc, ms)[0][0]
 
 
 def tree_qi_probe(family, count=200, max_len=8, seed=0):

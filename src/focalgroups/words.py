@@ -577,7 +577,9 @@ def ball_points(family, radius, window=None, sample=None, seed=0):
     canonical_bytes(h), once per window element, plus @m, and only the
     kept points become GroupPoints.  The kept rows, in key order, run
     against themselves through _encoded_word_lengths, into the smallest
-    signed type that holds 2 radius.  Returns (points, DistanceMatrix).
+    signed type that holds 2 radius.  The basis's delta_ceiling, checked
+    on those rows against that matrix, becomes the matrix's: delta <= 1
+    on a lamplighter ball.  Returns (points, DistanceMatrix).
     """
     if window is None:
         window = family.default_window(radius)
@@ -604,8 +606,9 @@ def ball_points(family, radius, window=None, sample=None, seed=0):
     ids = [keys[r].decode() for r in order]
     # Two points of the ball lie at most 2 radius apart.
     dtype = np.min_scalar_type(-1 - 2 * radius)
-    d = _encoded_word_lengths(basis, basis.take(cands, kept[order]), ms[order], dtype=dtype)
-    return pts, DistanceMatrix(ids, d)
+    rows, ms = basis.take(cands, kept[order]), ms[order]
+    d = _encoded_word_lengths(basis, rows, ms, dtype=dtype)
+    return pts, DistanceMatrix(ids, d, basis.delta_ceiling(rows, ms, d))
 
 
 def random_word(family, rng, max_len, a_letters):

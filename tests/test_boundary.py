@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from focalgroups.boundary import (
     schottky_semigroup_check,
     translation_number,
 )
-from focalgroups.families import LamplighterFamily, NadicFamily, SpoofIdentityFamily
+from focalgroups.families import FamilyError, LamplighterFamily, NadicFamily, SpoofIdentityFamily
 from focalgroups.words import GroupPoint, UnvalidatedFamilyError, alpha_point, h_point, identity_point, sample_points
 
 L2 = LamplighterFamily(2)
@@ -85,6 +86,19 @@ class TestIsometryType:
     def test_identity_elliptic(self):
         t = isometry_type(identity_point(N2))
         assert t.kind == ELLIPTIC and t.witness["order"] == 1
+
+    def test_element_without_a_certificate_is_refused(self):
+        # A family that leaves an element of infinite order uncertified gets
+        # an error naming both, not a verdict guessed from orbit growth.
+        class Uncertified(NadicFamily):
+            def h_unbounded(self, h):
+                return False
+
+        family = Uncertified(2)
+        g = h_point(family, family.element(1))
+        with pytest.raises(FamilyError, match=re.escape(f"{family.name}: no isometry-type certificate for {g}")):
+            isometry_type(g)
+        assert isometry_type(g * alpha_point(family, 1)).kind == HYPERBOLIC
 
     def test_busatt_consistency(self):
         # hyperbolic iff the quasicharacter does not vanish

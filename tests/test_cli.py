@@ -65,7 +65,8 @@ class TestDelta:
         assert payload["within_bound"]
         assert payload["bound"] == 16.0
         assert {"delta", "upper", "method", "witness", "n_points", "exhaustive", "samples", "seed"} <= set(payload)
-        assert payload["method"] == "basepoints" and payload["delta"] <= payload["upper"]
+        # 146 points, above the exact cutoff: the centre reaches the ceiling.
+        assert payload["method"] == "ceiling" and payload["delta"] == payload["upper"] == 1.0
 
     def test_nadic_bound_value(self, capsys):
         code, out, _ = run(capsys, "delta", "--family", "nadic:2", "--radius", "4", "--window", "2,3")
@@ -97,12 +98,25 @@ class TestDelta:
         assert err.startswith("error: unrecognized arguments")
 
     def test_exact_only(self, capsys):
-        # 18 points take the exact interval, 146 the basepoint one.
+        # 18 points take the exact interval; nadic:2 r4 (425 points) the
+        # basepoint one, [3/2, 3], which no proof closes.
         code, out, _ = run(capsys, "delta", "--family", "lamplighter:2", "--radius", "2", "--exact-only")
         assert code == 0 and json.loads(out)["method"] == "exact"
-        code, out, _ = run(capsys, "delta", "--family", "lamplighter:2", "--radius", "4", "--exact-only")
+        code, out, _ = run(capsys, "delta", "--family", "nadic:2", "--radius", "4", "--exact-only")
         payload = json.loads(out)
         assert code == 2 and payload["method"] == "basepoints" and payload["within_bound"]
+        assert (payload["delta"], payload["upper"]) == (1.5, 3.0)
+
+    @pytest.mark.parametrize("seed, code, interval", [("0", 2, (1.5, 2.0)), ("1", 0, (2.0, 2.0)), ("2", 0, (2.0, 2.0))])
+    def test_exact_only_when_the_bounds_meet(self, capsys, seed, code, interval):
+        # Bounds that meet are exact, whatever the method: at seeds 1 and 2
+        # the seeded basepoint of this 1,431-point ball attains twice the
+        # centre's constant.
+        argv = ["delta", "--family", "product(nadic:2,nadic:3)", "--radius", "2", "--exact-only", "--seed", seed]
+        got, out, _ = run(capsys, *argv)
+        payload = json.loads(out)
+        assert got == code and payload["method"] == "basepoints"
+        assert (payload["delta"], payload["upper"]) == interval and payload["exhaustive"] == (code == 0)
 
     def test_product_window(self, capsys):
         # Above radius 4 the product's default window passes its cap.
@@ -295,8 +309,9 @@ class TestTreeAndMillefeuille:
         assert code == 0
         assert payload["interior_degrees"] == [5]
         assert payload["delta"] == 0.0
-        # 106 vertices is above the exhaustive cutoff: two basepoints bound delta
-        assert payload["exhaustive"] is False and payload["method"] == "basepoints"
+        # 106 vertices is above the exhaustive cutoff: two basepoints bound
+        # delta, and their bounds meet, so the interval is exact.
+        assert payload["exhaustive"] is True and payload["method"] == "basepoints"
         assert payload["upper"] == 0.0
         assert payload["samples"] == 2 * 106**3
 
@@ -339,7 +354,7 @@ class TestReport:
         code, out, _ = run(capsys, "report", "--family", "lamplighter:2", "--radius", "3")
         payload = json.loads(out)
         assert code == 0
-        assert (payload["delta"]["delta"], payload["delta"]["upper"]) == (1.0, 2.0)
+        assert (payload["delta"]["delta"], payload["delta"]["upper"]) == (1.0, 1.0)
         # The verdict no longer rests on delta: the first windowed lamp moves
         # the fixed point of a+.
         assert payload["action"]["witnesses"] == {"fixed_point_of": "({}, 1)", "moves_it": "({2:1}, 0)"}
@@ -379,14 +394,21 @@ class TestReport:
         assert not payload["confining"]["passed"] and "action" not in payload
 
     def test_exact_only(self, capsys):
-        # 18 points take the exact delta interval, 146 the basepoint one.
+        # 18 points take the exact delta interval; nadic:2 r4 (425 points)
+        # the basepoint one, [3/2, 3], which no proof closes.
         code, out, _ = run(capsys, "report", "--family", "lamplighter:2", "--radius", "2", "--exact-only")
         payload = json.loads(out)
         assert code == 0 and payload["delta"]["exhaustive"] and payload["action"]["exact"]
-        code, out, _ = run(capsys, "report", "--family", "lamplighter:2", "--radius", "4", "--exact-only")
+        code, out, _ = run(capsys, "report", "--family", "nadic:2", "--radius", "4", "--exact-only")
         assert code == 2 and not json.loads(out)["delta"]["exhaustive"]
         code, _, _ = run(capsys, "report", "--family", "spoof-identity:2", "--radius", "2", "--exact-only")
         assert code == 2
+
+    def test_exact_only_on_the_default_lamplighter_ball(self, capsys):
+        # 866 points at radius 6: the ceiling closes the delta interval.
+        code, out, _ = run(capsys, "report", "--family", "lamplighter:2", "--exact-only")
+        delta = json.loads(out)["delta"]
+        assert code == 0 and delta["method"] == "ceiling" and delta["delta"] == delta["upper"] == 1.0
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -562,9 +584,12 @@ class TestFlags:
 # sha256 of stdout, recorded before the δ kernel skipped finished basepoints
 # and the tree report read its sample encoded: output stays byte-identical
 # across changes of speed.  The first ten are the perfbench `reports` pool.
+# Two were re-recorded when their δ claims grew: the lamplighter report's
+# interval closes at the proven ceiling of 1, and the T3 x T4 interval
+# [0, 0] is exhaustive, since its bounds meet.
 STDOUT_SHA256 = [
     (["report", "--family", "nadic:2", "--radius", "2", "--horizon", "6"], "a1eca95dc2e9f4da06933621bb9f72ff3aa50b411c59b6795e44b245538d0758"),
-    (["report", "--family", "lamplighter:2", "--radius", "3"], "f561cd59b4e423e712cd068224feec583ffbc60187c526b2bbc43f609969193a"),
+    (["report", "--family", "lamplighter:2", "--radius", "3"], "5448e293faf792e00a9c7c650b3ff5706b116601e38244b82f3287d9cbb3542f"),
     (["verify", "--family", "lamplighter:2"], "f418cfd144743aa3bf83514101ef9c72ccf71dc67e52452f8afd8533a3417912"),
     (["verify", "--family", "nadic:2"], "83639572d753f06480610f3e8f3e737058ac0e8e1e6f2e84429a4289fcd52df7"),
     (["classify", "--family", "nadic:2", "--horizon", "6", "a+", "g{1/2}"], "b3f83bb5d57d39137027f74e0ff7b2b138e761f63d6107a2f1b91475331f15c7"),
@@ -572,7 +597,7 @@ STDOUT_SHA256 = [
     (["schottky", "--family", "lamplighter:2", "a+", "a+ g{0:1}"], "cf49f0a2e24d4cb8823d80aafd01494322346a34abe2a3a5bf14994d1b1493d6"),
     (["schottky", "--family", "nadic:2", "a+", "a+ g{1}"], "30c0ed12ab4b6006d9348f416944ea2e4134008637506a063b822c5191306fc9"),
     (["tree", "--family", "lamplighter:3", "--radius", "4"], "968804ab791e10be9370f77fa5e8521e918de9c60662eb0d4d34c310ec92447c"),
-    (["millefeuille", "T3", "T4", "--radius", "3"], "867ad51f97c4825413dc0ef803cdb5dcae2180080802b16d126dcff03516f00b"),
+    (["millefeuille", "T3", "T4", "--radius", "3"], "901cced8eb7d8fedc69af65339845db51676249d2b34bbbb8addcbcc0d6fdf3c"),
     (["tree", "--family", "lamplighter:2", "--radius", "6", "--seed", "3"], "fb3742bdf6a62e86fb317777529c5bdf49502c879b31afe5dfb61e04ed479372"),
     (["tree", "--family", "lamplighter:5", "--radius", "3", "--seed", "1"], "fb3431ff3fc52aaa40d83c54569c549ac536afc230516fb389326fee920ef21c"),
     (["millefeuille", "line", "T3", "--radius", "4"], "8353e6b0cad0e04529860e4accfaeb100bcfce10ef1bf7353ab49f71f65ea780"),

@@ -10,7 +10,8 @@ import scalar_reference as ref
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from focalgroups import families, metric
+from focalgroups import cli, families, metric
+from focalgroups.families import LamplighterFamily, LamplighterWindow
 from focalgroups.metric import (
     DistanceMatrix,
     MetricError,
@@ -347,24 +348,118 @@ class TestFourPointDelta:
         assert k * (k + 1) ** 2 < 2**24 and k + 1 == np.iinfo(np.uint8).max
 
     @pytest.mark.parametrize(
-        "key, interval",
+        "key, method, interval",
         [
-            pytest.param("lamplighter2-r4", (1, 2), id="lamplighter2-r4"),
-            pytest.param("lamplighter2-r5-window", (1, 2), id="lamplighter2-r5-window"),
-            pytest.param("nadic2-r3", (Fraction(3, 2), 2), id="nadic2-r3"),
-            pytest.param("product-r2-window", (1, 2), id="product-r2-window"),
+            # The lamplighter balls carry the proven ceiling 1, which the centre reaches.
+            pytest.param("lamplighter2-r4", "ceiling", (1, 1), id="lamplighter2-r4"),
+            pytest.param("lamplighter2-r5-window", "ceiling", (1, 1), id="lamplighter2-r5-window"),
+            pytest.param("nadic2-r3", "basepoints", (Fraction(3, 2), 2), id="nadic2-r3"),
+            pytest.param("product-r2-window", "basepoints", (1, 2), id="product-r2-window"),
         ],
     )
-    def test_benchmark_ball_intervals(self, key, interval):
+    def test_benchmark_ball_intervals(self, key, method, interval):
         D = kernel_matrix(key)
         report = four_point_delta(D)
-        assert report.method == "basepoints"
+        assert report.method == method
         assert (report.delta, report.upper) == interval
         assert quadruple_defect(D, *report.witness) == report.delta
 
     def test_report_json_fields(self):
         rep = four_point_delta(path_metric(5)).as_dict()
         assert set(rep) == {"delta", "upper", "method", "witness", "n_points", "exhaustive", "samples", "seed"}
+
+
+@st.composite
+def small_lamplighter_balls(draw):
+    """Lamplighter balls cut to at most 64 points: a whole windowed ball
+    or a seeded sample of one, restricted to a drawn subset."""
+    family = LamplighterFamily(draw(st.sampled_from([2, 3]), label="q"))
+    radius = draw(st.integers(0, 5), label="radius")
+    window = LamplighterWindow(draw(st.integers(-2, 0), label="lo"), draw(st.integers(0, 2), label="hi"), radius)
+    sample = None if radius <= 3 else draw(st.integers(1, 64), label="sample")
+    D = ball_points(family, radius, window=window, sample=sample, seed=draw(st.integers(0, 9), label="seed"))[1]
+    keep = draw(st.lists(st.integers(0, len(D) - 1), min_size=1, max_size=64, unique=True), label="keep")
+    return D.restrict([D.points[i] for i in keep])
+
+
+def encoded_rows(pts):
+    """(basis, rows, ms) of ball points encoded on a basis of their own."""
+    family = pts[0].family
+    basis = family.basis([p.h for p in pts], 1, 0)
+    return basis, basis.encode([p.h for p in pts]), np.array([p.m for p in pts], dtype=np.int64)
+
+
+class TestDeltaCeiling:
+    """delta <= 1 on lamplighter balls: proven from the coset tree on the
+    ball's own matrix, and a ceiling that ends the kernel's scans."""
+
+    @given(D=small_lamplighter_balls())
+    def test_kernel_ceiling_changes_no_exact_report(self, D):
+        report = four_point_delta(D)
+        assert D.delta_ceiling == 1 and report.method == "exact" and report.delta <= 1
+        assert report == four_point_delta(DistanceMatrix(D.points, D.d))
+
+    def test_kernel_ceiling_at_every_basepoint(self):
+        # Every basepoint of lamplighter:2 r4 attains 2 delta_x = 2, with the
+        # ceiling or without, at the same pair; chunks of 16 basepoints.
+        D = kernel_matrix("lamplighter2-r4")
+        assert len(D) == 146 and D.delta_ceiling == 1
+        for lo in range(0, len(D), 16):
+            xs = np.arange(lo, min(lo + 16, len(D)))
+            full, capped = _defect2_at(D.d, xs), _defect2_at(D.d, xs, ceiling=2)
+            assert (full[0] == 2).all()
+            assert np.array_equal(full[0], capped[0]) and np.array_equal(full[1], capped[1])
+
+    def test_kernel_ceiling_needs_every_entry(self):
+        pts, D = ball_points(LamplighterFamily(2), 4)
+        basis, rows, ms = encoded_rows(pts)
+        assert basis.delta_ceiling(rows, ms, D.d) == 1
+        i, j = D.index("L:-1:1,0:1,1:1,2:1@-1"), D.index("L:-1:1,0:1,1:1,2:1@-2")
+        for entries in ([(i, j)], [(j, i)], [(i, j), (j, i)]):
+            d = D.d.copy()
+            for e in entries:
+                d[e] += 1
+            assert basis.delta_ceiling(rows, ms, d) is None
+        # The symmetric raise is still a metric; with no ceiling it gets the
+        # two-basepoint report that the kernel gave before ceilings existed.
+        raised = DistanceMatrix(D.points, d, basis.delta_ceiling(rows, ms, d)).validate()
+        assert four_point_delta(raised).as_dict() == {
+            "delta": 1.0,
+            "upper": 2.0,
+            "n_points": 146,
+            "method": "basepoints",
+            "samples": 2 * 146**3,
+            "seed": 0,
+            "witness": ["L:@0", "L:-2:1,-1:1,0:1,1:1,2:1@-1", "L:@-4", "L:-2:1,-1:1,0:1,1:1,2:1@-3"],
+            "exhaustive": False,
+        }
+
+    @pytest.mark.parametrize(
+        "family, window",
+        [
+            # alpha = id: lamps at positions >= 0 keep every length finite.
+            pytest.param(families.SpoofIdentityFamily(2).unchecked(), LamplighterWindow(0, 2, 3), id="spoof-identity:2"),
+            pytest.param(families.NadicFamily(2), None, id="nadic:2"),
+            pytest.param(families.ProductFamily(LamplighterFamily(2), families.NadicFamily(2)), None, id="product"),
+        ],
+    )
+    def test_no_ceiling_off_the_lamplighter_families(self, family, window):
+        pts, D = ball_points(family, 3 if window else 2, window=window)
+        basis, rows, ms = encoded_rows(pts)
+        assert D.delta_ceiling is None and basis.delta_ceiling(rows, ms, D.d) is None
+
+    def test_restrict_keeps_the_ceiling(self):
+        D = kernel_matrix("lamplighter2-r4")
+        assert D.restrict(D.points[::7]).delta_ceiling == 1
+        assert DistanceMatrix(D.points, D.d).restrict(D.points[:3]).delta_ceiling is None
+
+    def test_matrix_read_from_csv_has_no_ceiling(self, capsys):
+        # The CSV of `ball` holds distances only: read back, the same ball
+        # gets the two-basepoint interval, not the ceiling.
+        assert cli.main(["ball", "--family", "lamplighter:2", "--radius", "4"]) == 0
+        D = DistanceMatrix.from_csv(io.StringIO(capsys.readouterr().out))
+        report = four_point_delta(D)
+        assert D.delta_ceiling is None and report.method == "basepoints" and (report.delta, report.upper) == (1, 2)
 
 
 class TestRowBlocks:

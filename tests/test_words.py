@@ -20,6 +20,7 @@ from focalgroups.families import (
     SpoofIdentityFamily,
 )
 from focalgroups import metric, words
+from focalgroups.trees import BASEPOINT, tree_act, tree_distance
 from focalgroups.words import (
     ALPHA,
     ALPHA_INV,
@@ -432,6 +433,26 @@ class TestPairwiseWordLengths:
         ms = np.array([x.m for x in xs], dtype=np.int64)
         lengths, first = words._block_word_lengths(basis, one, zero, basis.encode([x.h for x in xs]), ms)
         assert list(zip(lengths[0].tolist(), first[0].tolist())) == [words._length_scan(x)[:2] for x in xs]
+
+    @pytest.mark.parametrize("spec", ["lamplighter:2", "lamplighter:3"])
+    @given(data=st.data())
+    def test_lamplighter_pair_form_is_the_word_metric(self, spec, data):
+        # d = d_T + [h_x != h_y], with d_T the coset-tree distance of x.o and
+        # y.o, in int64 and in the narrowest type the pair form allows.
+        family, hs = H_STRATEGIES[spec]
+        xs = data.draw(point_lists(family, hs), label="xs")
+        ys = data.draw(point_lists(family, hs), label="ys")
+        basis = family.basis([p.h for p in xs + ys], 1, 0)
+        row_ms = np.array([x.m for x in xs], dtype=np.int64)
+        col_ms = np.array([y.m for y in ys], dtype=np.int64)
+        R, C = basis.encode([x.h for x in xs]), basis.encode([y.h for y in ys])
+        span = max(abs(basis.lo), abs(basis.hi) + 1, 7)
+        for dtype in (np.int64, np.min_scalar_type(-(4 * span + 2))):
+            d_T, differs = basis.tree_pairs(R, row_ms, C, col_ms, dtype)
+            assert np.array_equal(d_T + differs, pairwise_word_lengths(xs, ys))
+            assert differs.tolist() == [[x.h != y.h for y in ys] for x in xs]
+        orbit = [tree_act(p, BASEPOINT) for p in xs + ys]
+        assert d_T.tolist() == [[tree_distance(orbit[i], orbit[len(xs) + j]) for j in range(len(ys))] for i in range(len(xs))]
 
     @settings(max_examples=200)
     @given(cases=knee_cases())
