@@ -410,18 +410,22 @@ class TestDeltaCeiling:
             assert (full[0] == 2).all()
             assert np.array_equal(full[0], capped[0]) and np.array_equal(full[1], capped[1])
 
-    def test_kernel_ceiling_needs_every_entry(self):
+    @pytest.mark.parametrize("block", [1, metric.PAIRS_PER_BLOCK])
+    def test_kernel_ceiling_needs_every_entry(self, block):
+        # An entry on either side of the diagonal, checked in one block or
+        # in a block per row.
         pts, D = ball_points(LamplighterFamily(2), 4)
         basis, rows, ms = encoded_rows(pts)
-        assert basis.delta_ceiling(rows, ms, D.d) == 1
         i, j = D.index("L:-1:1,0:1,1:1,2:1@-1"), D.index("L:-1:1,0:1,1:1,2:1@-2")
-        for entries in ([(i, j)], [(j, i)], [(i, j), (j, i)]):
-            d = D.d.copy()
-            for e in entries:
-                d[e] += 1
-            assert basis.delta_ceiling(rows, ms, d) is None
-        # The symmetric raise is still a metric; with no ceiling it gets the
-        # two-basepoint report that the kernel gave before ceilings existed.
+        with mock.patch.object(metric, "PAIRS_PER_BLOCK", block):
+            assert basis.delta_ceiling(rows, ms, D.d) == 1
+            for entries in ([(i, j)], [(j, i)], [(i, j), (j, i)]):
+                d = D.d.copy()
+                for e in entries:
+                    d[e] += 1
+                assert basis.delta_ceiling(rows, ms, d) is None
+        # The symmetric raise is still a metric, and with no ceiling it gets
+        # the two-basepoint report, pinned here.
         raised = DistanceMatrix(D.points, d, basis.delta_ceiling(rows, ms, d)).validate()
         assert four_point_delta(raised).as_dict() == {
             "delta": 1.0,
@@ -433,6 +437,14 @@ class TestDeltaCeiling:
             "witness": ["L:@0", "L:-2:1,-1:1,0:1,1:1,2:1@-1", "L:@-4", "L:-2:1,-1:1,0:1,1:1,2:1@-3"],
             "exhaustive": False,
         }
+
+    @pytest.mark.parametrize("ceiling", [Fraction(3, 2), Fraction(2)])
+    def test_kernel_ceiling_the_centre_misses_keeps_the_interval(self, ceiling):
+        # nadic:2 r3 has delta = 3/2, and its centre gives only 1: under a
+        # true ceiling it does not reach, the two-basepoint report stands.
+        D = kernel_matrix("nadic2-r3")
+        report = four_point_delta(DistanceMatrix(D.points, D.d, ceiling))
+        assert report == four_point_delta(D) and report.method == "basepoints"
 
     @pytest.mark.parametrize(
         "family, window",
