@@ -221,12 +221,6 @@ class DeltaReport(Report):
         return {**super().as_dict(), "exhaustive": self.exhaustive}
 
 
-# The longest prefix whose levels 2j and 2j - 1 share one product: its
-# operand entries 1 + k still fit uint8, and every sum of the product is an
-# integer below k (k + 1)**2 < 2**24, so float32 holds it exactly.
-PAIRED_PREFIX_LIMIT = 254
-
-
 def _defect2_at(d, xs, ceiling=None):
     """Twice the four-point constant at each basepoint x in `xs`: the
     largest min(g[y,w], g[w,z]) - g[y,z] over y, z, w, where g = d[x,:,None]
@@ -259,20 +253,6 @@ def _defect2_at(d, xs, ceiling=None):
     equivalence relation on its points, as at every level of a tree: then
     the product reaches only the pairs with g >= v, none of which beats 0.
 
-    Levels 2j and 2j - 1 have the same prefixes, because 2 d(x,.) is even,
-    and when both are present they share one product over the live set of
-    2j, which holds that of 2j - 1.  With k the prefix length and
-    B = [g >= 2j - 1] + k [g >= 2j], every term of B @ B is 0, 1, k + 1 or
-    (k + 1)**2, so the pairs reached at 2j are those with a sum of at least
-    (k + 1)**2 (k terms below it add up to at most k (k + 1)) and those
-    reached at 2j - 1 the nonzero ones.  Every partial sum is an integer at
-    most k (k + 1)**2 < 2**24, so float32 is exact whatever order the
-    matmul adds in, for k up to PAIRED_PREFIX_LIMIT; longer prefixes and
-    unpaired levels run one product per level.  Level 2j updates the
-    defects first, and level 2j - 1 then beats the updated ones (a
-    basepoint no longer live there has none to beat).  A basepoint skips
-    the shared product only when both masks are equivalence relations.
-
     g is held in the smallest signed integer type that holds 2 max d, and
     a level only looks for its best pair at the live basepoints where some
     reached pair beats the defect found so far; there the pair is the
@@ -298,59 +278,48 @@ def _defect2_at(d, xs, ceiling=None):
     best = np.zeros(len(xs), dtype=np.int64)
     y = np.zeros(len(xs), dtype=np.intp)
     z = np.zeros(len(xs), dtype=np.intp)
-    i = 0
-    while i < len(levels) and best.min() < min(levels[i], ceiling):
-        v, ks = levels[i], prefix[:, i]
+    for v, ks in zip(levels, prefix.T):
+        if best.min() >= min(v, ceiling):
+            break
         live = np.flatnonzero((ks >= 2) & (best < min(v, ceiling)))
-        k = int(ks[live].max(initial=0))
-        paired = v % 2 == 0 and levels[i + 1 : i + 2] == [v - 1] and k <= PAIRED_PREFIX_LIMIT
-        i += 1 + paired
         if not live.size:
             continue
-        for block in row_blocks(len(live), k * k):
+        for block in row_blocks(len(live), int(ks[live].max()) ** 2):
             chunk = live[block]
-            _run_level(v, paired, g, chunk, int(ks[chunk].max()), best, y, z)
+            _run_level(v, g, chunk, int(ks[chunk].max()), best, y, z)
     return best, np.stack([order[rows, y], order[rows, z]], axis=1)
 
 
-def _run_level(v, paired, g, live, k, best, y, z):
-    """Level v, and level v - 1 with it when paired, at the live basepoints
-    on their first k points: the equivalence skip, one product, and the
-    defect updates.  The masks go before the operand is cast, and the
-    operand before the product is read."""
+def _run_level(v, g, live, k, best, y, z):
+    """Level v at the live basepoints on their first k points: the
+    equivalence skip, one product, and the defect update.  The mask goes
+    before the operand is cast, and the operand before the product is
+    read."""
     gk = g[live, :k, :k]
-    masks = (gk >= v, gk >= v - 1) if paired else (gk >= v,)
-    closed = _equivalences(masks, np.flatnonzero(best[live] == 0))
+    b = gk >= v
+    closed = _equivalences(b, np.flatnonzero(best[live] == 0))
     if closed.size:
         keep = np.ones(len(live), dtype=bool)
         keep[closed] = False
-        live, gk, masks = live[keep], gk[keep], [b[keep] for b in masks]
-    b = masks[1].view(np.uint8) + masks[0].view(np.uint8) * np.uint8(k) if paired else masks[0]
-    del masks
+        live, gk, b = live[keep], gk[keep], b[keep]
     b = b.astype(np.float32)
     s = np.matmul(b, b)
     del b
-    if paired:
-        _raise_defects(v, live, gk, s >= (k + 1) ** 2, best, y, z)
-        _raise_defects(v - 1, live, gk, s > 0, best, y, z)
-    else:
-        _raise_defects(v, live, gk, s > 0, best, y, z)
+    _raise_defects(v, live, gk, s > 0, best, y, z)
 
 
-def _equivalences(masks, t):
-    """The rows t of the stacked boolean masks at which every mask is an
+def _equivalences(b, t):
+    """The rows t of the stacked boolean mask b at which it is an
     equivalence relation on the points of its diagonal: each row equals
     the row of its first member (rows past a basepoint's own prefix are
     empty)."""
-    for b in masks:
-        if not t.size:
-            break
-        k = b.shape[-1]
-        bt = b[t] if len(t) < len(b) else b
-        first = bt.argmax(axis=2) + k * np.arange(len(t))[:, None]
-        same = (bt == bt.reshape(-1, k)[first.ravel()].reshape(bt.shape)).all(axis=2)
-        t = t[(same | ~np.diagonal(bt, axis1=1, axis2=2)).all(axis=1)]
-    return t
+    if not t.size:
+        return t
+    k = b.shape[-1]
+    bt = b[t] if len(t) < len(b) else b
+    first = bt.argmax(axis=2) + k * np.arange(len(t))[:, None]
+    same = (bt == bt.reshape(-1, k)[first.ravel()].reshape(bt.shape)).all(axis=2)
+    return t[(same | ~np.diagonal(bt, axis1=1, axis2=2)).all(axis=1)]
 
 
 def _raise_defects(v, live, gk, reached, best, y, z):
@@ -367,16 +336,12 @@ def _raise_defects(v, live, gk, reached, best, y, z):
     y[i], z[i] = np.divmod(at, k)
 
 
-def four_point_delta(
-    D: DistanceMatrix,
-    exhaustive_cutoff: int = EXHAUSTIVE_CUTOFF,
-    seed: int = 0,
-) -> DeltaReport:
+def four_point_delta(D: DistanceMatrix, seed: int = 0) -> DeltaReport:
     """Least delta >= 0 with (y|z)_x >= min[(y|w)_x, (w|z)_x] - delta over
     ordered quadruples (the basepoint ranges over the points too).
 
-    Exact for point sets up to `exhaustive_cutoff`: every point is a
-    basepoint.  Beyond it, the centre (the first point of least
+    Exact for point sets up to EXHAUSTIVE_CUTOFF, read at the call: every
+    point is a basepoint.  Beyond it, the centre (the first point of least
     eccentricity) runs first when D carries a delta_ceiling: if its
     constant reaches the ceiling, delta = upper = the ceiling, with method
     "ceiling" and no seed.  Otherwise, and always without a ceiling, the
@@ -392,7 +357,7 @@ def four_point_delta(
         raise MetricError("need at least one point")
     d = D.d
     ceiling = None if D.delta_ceiling is None else math.floor(2 * D.delta_ceiling)
-    if n <= exhaustive_cutoff:
+    if n <= EXHAUSTIVE_CUTOFF:
         xs, method, seed = np.arange(n), "exact", None
         defects, yz = _defect2_at(d, xs, ceiling)
     else:

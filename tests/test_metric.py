@@ -15,7 +15,6 @@ from focalgroups.families import LamplighterFamily, LamplighterWindow
 from focalgroups.metric import (
     DistanceMatrix,
     MetricError,
-    PAIRED_PREFIX_LIMIT,
     delta_within_bound,
     four_point_delta,
     graph_distance_matrix,
@@ -208,8 +207,8 @@ class TestGromovProduct:
 # nadic:2 oracle window taken as a ball; the lamplighter:2 oracle window is
 # the r5 ball's), the T3 x T4 radius-3 millefeuille, where delta = 0
 # makes the kernel scan every level, and the nadic:3 radius-3 ball, whose
-# prefixes (55, 197, 381, 472 at the basepoints below) run paired levels
-# below PAIRED_PREFIX_LIMIT and single ones above it in one call.
+# prefixes (55, 197, 381, 472 at the basepoints below) give operands of
+# widely different widths in one call.
 KERNEL_MATRICES = {
     "lamplighter2-r4": ("lamplighter:2", 4, None),
     "lamplighter2-r5-window": ("lamplighter:2", 5, families.LamplighterWindow(-2, 2, 5)),
@@ -268,7 +267,8 @@ class TestFourPointDelta:
         assert r1 == r2
         assert r1.samples == 2 * 80**3
         # the basepoint interval brackets the exhaustive constant
-        full = four_point_delta(D, exhaustive_cutoff=len(D))
+        with mock.patch.object(metric, "EXHAUSTIVE_CUTOFF", len(D)):
+            full = four_point_delta(D)
         assert full.exhaustive and full.delta == full.upper
         assert r1.delta <= full.delta <= r1.upper
 
@@ -298,12 +298,13 @@ class TestFourPointDelta:
     def test_basepoint_interval_brackets_reference(self, D, data):
         cutoff = data.draw(st.integers(0, len(D) - 1))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        report = four_point_delta(D, exhaustive_cutoff=cutoff, seed=seed)
+        with mock.patch.object(metric, "EXHAUSTIVE_CUTOFF", cutoff):
+            report = four_point_delta(D, seed=seed)
+            assert four_point_delta(D, seed=seed) == report
         assert report.method == "basepoints" and report.seed == seed
         assert report.delta <= reference_delta(D) <= report.upper
         assert quadruple_defect(D, *report.witness) == report.delta
         assert report.samples == min(2, len(D)) * len(D) ** 3
-        assert four_point_delta(D, exhaustive_cutoff=cutoff, seed=seed) == report
 
     @given(D=graph_metrics(), data=st.data())
     def test_kernel_matches_reference(self, D, data):
@@ -337,15 +338,6 @@ class TestFourPointDelta:
         xs = [centre, *np.random.default_rng(0).choice(n, 3, replace=False).tolist()]
         got, want = _defect2_at(D.d, xs), ref.defect2_at(D.d, xs)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-
-    def test_paired_kernel_sums_are_exact_at_the_limit(self):
-        # Every entry of B at its largest, 1 + k (the most uint8 holds): each
-        # sum of B @ B is k (k + 1)**2, the largest a paired product can
-        # reach, and float32 must hold it and every partial sum exactly.
-        k = PAIRED_PREFIX_LIMIT
-        b = np.full((2, k, k), np.uint8(k + 1)).astype(np.float32)
-        assert (np.matmul(b, b) == k * (k + 1) ** 2).all()
-        assert k * (k + 1) ** 2 < 2**24 and k + 1 == np.iinfo(np.uint8).max
 
     @pytest.mark.parametrize(
         "key, method, interval",
@@ -551,8 +543,9 @@ class TestNarrowMatrices:
     def test_four_point_delta_and_witness(self):
         narrow, wide = self.pair()
         for cutoff in (5, 2):
-            report = four_point_delta(narrow, exhaustive_cutoff=cutoff)
-            assert report == four_point_delta(wide, exhaustive_cutoff=cutoff)
+            with mock.patch.object(metric, "EXHAUSTIVE_CUTOFF", cutoff):
+                report = four_point_delta(narrow)
+                assert report == four_point_delta(wide)
             assert quadruple_defect(narrow, *report.witness) == report.delta
         assert four_point_delta(narrow).delta == 60 * reference_delta(cycle_metric(5))
 
