@@ -357,30 +357,46 @@ class LamplighterBasis:
         # Equal rows get u = top, above every position and exponent, which
         # leaves min(m_i, m_j) as it is.
         top = max(self.hi + 1, int(row_ms.max(initial=0)), int(col_ms.max(initial=0)))
-        u = self._lowest_difference(R, C, top, dtype)
-        differs = u < top
-        mi, mj = row_ms.astype(dtype)[:, None], col_ms.astype(dtype)[None, :]
-        d_T = np.minimum(np.minimum(u, mi, out=u), mj, out=u)
-        d_T *= -2
-        d_T += mi
-        d_T += mj
-        return d_T, differs
+        return _tree_form(self._lowest_difference(R, C, top, dtype), top, row_ms, col_ms)
 
     def delta_ceiling(self, enc, ms, d):
         # d = d_T + [h != h'] makes d the sum of a tree metric and the
         # ultrametric of an equivalence relation, both 0-hyperbolic: the
         # largest pair sum of a quadruple exceeds the second by at most
         # the second part's spread, 2, so delta <= 1 (see README, metric).
+        # The form is checked against every entry of d, a block of rows at
+        # a time; the lowest differing positions are found once per pair
+        # of distinct lamp configurations and read through each point's
+        # configuration.
         if not self.twisted:
             return None
         span = max(abs(self.lo), abs(self.hi) + 1, int(np.abs(ms).max(initial=0)))
         dtype = np.promote_types(d.dtype, np.min_scalar_type(-(4 * span + 2)))
+        ids = {}
+        of = np.array([ids.setdefault(key, len(ids)) for key in self.row_keys(enc)], dtype=np.intp)
+        configs = np.empty((len(ids), self.width), dtype=self.dtype)
+        configs[of] = enc
+        top = max(self.hi + 1, int(ms.max(initial=0)))
+        low = self._lowest_difference(configs, configs, top, dtype)
         for rows in metric.row_blocks(len(ms), len(ms)):
-            d_T, differs = self.tree_pairs(enc[rows], ms[rows], enc, ms, dtype)
+            d_T, differs = _tree_form(low.take(of[rows], axis=0).take(of, axis=1), top, ms[rows], ms)
             d_T += differs
             if not np.array_equal(d_T, d[rows]):
                 return None
         return Fraction(1)
+
+
+def _tree_form(u, top, row_ms, col_ms):
+    """LamplighterBasis.tree_pairs from the grid u of lowest differing
+    positions (top where the rows are equal, at least every exponent),
+    computed in place in u's type."""
+    differs = u < top
+    mi, mj = row_ms.astype(u.dtype)[:, None], col_ms.astype(u.dtype)[None, :]
+    d_T = np.minimum(np.minimum(u, mi, out=u), mj, out=u)
+    d_T *= -2
+    d_T += mi
+    d_T += mj
+    return d_T, differs
 
 
 class NadicBasis:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -144,37 +143,41 @@ class DistanceMatrix:
         return buf.getvalue()
 
 
-def graph_distance_matrix(points, adjacency) -> DistanceMatrix:
+def graph_distance_matrix(points, src, dst) -> DistanceMatrix:
     """Shortest-path distances of a finite unweighted graph: d[s, t] is the
-    length of a shortest path from points[s] to points[t], and
-    `adjacency[i]` lists the neighbour indices of `points[i]`.
+    length of a shortest path from points[s] to points[t] along the
+    directed edges points[src[e]] -> points[dst[e]], given as two integer
+    arrays (an undirected edge is listed both ways; repeats and loops are
+    harmless).
 
     One level-synchronous BFS runs from every vertex at once (Then et al.,
     PVLDB 8(4), 2014): row v of `seen` is a packed bitset of the vertices
     that v reaches.  The targets first reached from v at level L + 1 are
-    the unseen ones that one of v's neighbours first reached at level L,
-    so each level ORs the frontier rows of v's neighbours, one padded
-    neighbour slot at a time, keeps the bits not seen before, and adds one
-    to every pair still unreached: a pair first reached at level L ends
-    at L.  Levels are counted, and returned, in the smallest signed type
-    that holds n - 1, the longest a distance can be.
+    the unseen ones that one of v's out-neighbours first reached at level
+    L.  So each level gathers the frontier rows of every vertex's
+    neighbours at once, through a slot-major (degree, n) index array padded
+    with an all-zero row, and ORs them over the slots, in the row blocks of
+    row_blocks; it keeps the bits not seen before and adds one to every
+    pair still unreached: a pair first reached at level L ends at L.
+    Levels are counted, and returned, in the smallest signed type that
+    holds n - 1, the longest a distance can be.
     """
     n = len(points)
-    degrees = np.array([len(a) for a in adjacency], dtype=np.int64)
-    flat = np.fromiter(itertools.chain.from_iterable(adjacency), dtype=np.int64, count=int(degrees.sum()))
-    # nbrs[v, k] is v's k-th neighbour, or n (an all-zero frontier row) past the last.
-    nbrs = np.full((n, int(degrees.max(initial=0))), n, dtype=np.int64)
-    slots = np.arange(len(flat)) - np.repeat(np.cumsum(degrees) - degrees, degrees)
-    nbrs[np.repeat(np.arange(n), degrees), slots] = flat
+    src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+    by_src = np.argsort(src, kind="stable")
+    degrees = np.bincount(src, minlength=n)
+    # nbrs[k, v] is v's k-th out-neighbour, or n (an all-zero frontier row) past the last.
+    nbrs = np.full((int(degrees.max(initial=0)), n), n, dtype=np.intp)
+    nbrs[np.arange(len(src)) - np.repeat(np.cumsum(degrees) - degrees, degrees), src[by_src]] = dst[by_src]
     frontier = np.zeros((n + 1, (n + 7) // 8), dtype=np.uint8)
     frontier[np.arange(n), np.arange(n) // 8] = 128 >> (np.arange(n) % 8)
     seen = frontier[:n].copy()
     reach = np.empty_like(seen)
+    blocks = [(rows, nbrs[:, rows]) for rows in row_blocks(n, max(1, len(nbrs) * frontier.shape[1]))]
     d = np.zeros((n, n), dtype=np.min_scalar_type(-max(n, 1)))
     while True:
-        reach.fill(0)
-        for slot in nbrs.T:
-            reach |= frontier[slot]
+        for rows, slots in blocks:
+            np.bitwise_or.reduce(frontier[slots], axis=0, out=reach[rows])
         reach &= ~seen
         if not reach.any():
             break
@@ -281,31 +284,34 @@ def _defect2_at(d, xs, ceiling=None):
     for v, ks in zip(levels, prefix.T):
         if best.min() >= min(v, ceiling):
             break
-        live = np.flatnonzero((ks >= 2) & (best < min(v, ceiling)))
-        if not live.size:
-            continue
-        for block in row_blocks(len(live), int(ks[live].max()) ** 2):
-            chunk = live[block]
-            _run_level(v, g, chunk, int(ks[chunk].max()), best, y, z)
+        _run_level(v, g, ks, min(v, ceiling), best, y, z)
     return best, np.stack([order[rows, y], order[rows, z]], axis=1)
 
 
-def _run_level(v, g, live, k, best, y, z):
-    """Level v at the live basepoints on their first k points: the
-    equivalence skip, one product, and the defect update.  The mask goes
+def _run_level(v, g, ks, cap, best, y, z):
+    """Level v, one call per level scanned: its live basepoints, with at
+    least two points in their prefixes ks and a defect below cap, in the
+    chunks row_blocks cuts; each chunk, on its longest prefix k, takes the
+    equivalence skip, one product and the defect update.  The mask goes
     before the operand is cast, and the operand before the product is
     read."""
-    gk = g[live, :k, :k]
-    b = gk >= v
-    closed = _equivalences(b, np.flatnonzero(best[live] == 0))
-    if closed.size:
-        keep = np.ones(len(live), dtype=bool)
-        keep[closed] = False
-        live, gk, b = live[keep], gk[keep], b[keep]
-    b = b.astype(np.float32)
-    s = np.matmul(b, b)
-    del b
-    _raise_defects(v, live, gk, s > 0, best, y, z)
+    live = np.flatnonzero((ks >= 2) & (best < cap))
+    if not live.size:
+        return
+    for block in row_blocks(len(live), int(ks[live].max()) ** 2):
+        chunk = live[block]
+        k = int(ks[chunk].max())
+        gk = g[chunk, :k, :k]
+        b = gk >= v
+        closed = _equivalences(b, np.flatnonzero(best[chunk] == 0))
+        if closed.size:
+            keep = np.ones(len(chunk), dtype=bool)
+            keep[closed] = False
+            chunk, gk, b = chunk[keep], gk[keep], b[keep]
+        b = b.astype(np.float32)
+        s = np.matmul(b, b)
+        del b
+        _raise_defects(v, chunk, gk, s > 0, best, y, z)
 
 
 def _equivalences(b, t):

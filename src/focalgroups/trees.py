@@ -197,8 +197,9 @@ class BusemannGraph:
 
     def distance_matrix(self) -> DistanceMatrix:
         index = {v: i for i, v in enumerate(self.vertices)}
-        adjacency = [[index[w] for w in self._adj[v]] for v in self.vertices]
-        return graph_distance_matrix(self.vertices, adjacency)
+        # Each edge u -- v goes both ways: sources u then v, targets v then u.
+        ends = np.array([(index[u], index[v]) for u, v in self.edges], dtype=np.intp).reshape(-1, 2).T
+        return graph_distance_matrix(self.vertices, ends.ravel(), ends[::-1].ravel())
 
     def to_dot(self):
         lines = ["graph levelled {"]

@@ -402,15 +402,17 @@ class Products:
         return [GroupPoint(self.family, h, m) for h, m in zip(self.basis.decode(enc), ms.tolist())]
 
 
-def _first_new(keys, seen):
-    """Positions of the keys not in `seen`, first occurrences only, in
-    order; adds those keys to `seen`."""
-    out = []
-    for r, key in enumerate(keys):
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-    return out
+def _land(keys, index):
+    """The position of each key in `index`, a dict of keys to positions
+    0, 1, ... in insertion order, as an int32 array; a key not in it is
+    added at the next position, so new keys are numbered in the order of
+    their first occurrences.  Returns (positions, the first occurrence of
+    each new key, in order)."""
+    count, add = len(index), index.setdefault
+    at = np.array([add(key, len(index)) for key in keys], dtype=np.int32)
+    # New keys take count, count + 1, ... as they first occur, so with old
+    # positions lowered to count - 1, the running maximum rises exactly there.
+    return at, np.flatnonzero(np.diff(np.maximum.accumulate(np.maximum(at, count - 1)), prepend=count - 1))
 
 
 @dataclass
@@ -419,6 +421,8 @@ class Sweep:
     enc: object  # the points' rows on law.basis in BFS order, the identity first
     ms: np.ndarray  # their exponents
     depths: np.ndarray  # the BFS level of each point, ascending
+    index: dict  # each point's law key -> its position in the sweep
+    edges: tuple  # int32 (src, dst): the positions of x and x . s for each product kept
     truncated: bool  # some product fell outside the window
     capped: bool  # the cap stopped the sweep
     closed: bool  # a level found nothing new before the cap or the last level
@@ -440,25 +444,37 @@ def breadth_first(law, levels, window=None, cap=None):
     dropped and the sweep is truncated; with a cap, checked after each
     block, the sweep stops at the first point beyond cap points, so it
     holds every depth below its last one.
+
+    One walk over each block's keys, through the sweep's dict of keys to
+    positions, finds the new points and where every kept product lands,
+    so the sweep also holds the edges x -> x . s of its windowed Cayley
+    graph from every point it multiplied: every point below the last
+    depth, and every point when it closed.  A capped sweep keeps only the
+    edges between its points.
     """
     enc, ms = law.encode([identity_point(law.family)])
-    by_depth, seen, count = [(enc, ms)], set(law.keys(enc, ms)), 1
+    by_depth, index, start = [(enc, ms)], dict.fromkeys(law.keys(enc, ms), 0), 0
+    srcs, dsts = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
     truncated = capped = closed = False
     for depth in range(1, levels + 1):
         found = []
         for rows in metric.row_blocks(len(ms), len(law.gen_ms)):
             cand, cand_ms = law.times(*law.take(enc, ms, rows))
+            src = np.repeat(np.arange(start + rows.start, start + rows.stop, dtype=np.int32), len(law.gen_ms))
             if window is not None:
                 inside = (np.abs(cand_ms) <= window.levels) & law.basis.in_window(cand, window)
                 truncated = truncated or not inside.all()
-                cand, cand_ms = law.take(cand, cand_ms, np.flatnonzero(inside))
-            new = _first_new(law.keys(cand, cand_ms), seen)
-            if cap is not None and count + len(new) > cap:
-                new, capped = new[: cap + 1 - count], True
+                kept = np.flatnonzero(inside)
+                cand, cand_ms, src = *law.take(cand, cand_ms, kept), src[kept]
+            dst, new = _land(law.keys(cand, cand_ms), index)
+            if cap is not None and len(index) > cap:
+                new, capped = new[: cap + 1 - (len(index) - len(new))], True
             found.append(law.take(cand, cand_ms, new))
-            count += len(new)
+            srcs.append(src)
+            dsts.append(dst)
             if capped:
                 break
+        start += len(ms)
         enc, ms = law.concat(found)
         by_depth.append((enc, ms))
         if capped:
@@ -467,7 +483,12 @@ def breadth_first(law, levels, window=None, cap=None):
             closed = True
             break
     depths = np.repeat(np.arange(len(by_depth)), [len(ms) for _, ms in by_depth])
-    return Sweep(law, *law.concat(by_depth), depths, truncated, capped, closed)
+    enc, ms = law.concat(by_depth)
+    src, dst = np.concatenate(srcs), np.concatenate(dsts)
+    if capped:
+        index = dict(itertools.islice(index.items(), len(ms)))
+        src, dst = src[dst < len(ms)], dst[dst < len(ms)]
+    return Sweep(law, enc, ms, depths, index, (src, dst), truncated, capped, closed)
 
 
 @dataclass
@@ -484,17 +505,31 @@ class BfsResult:
 
     def distance_matrix(self):
         """All-pairs distances within the windowed Cayley graph (upper
-        bounds for d_S away from the trusted set), from the sweep's own
-        encoding sorted by key."""
+        bounds for d_S away from the trusted set), over the points sorted
+        by key.
+
+        The sweep's edges hold every product of a point below its last
+        depth, or of every point if it closed; only the rows at the last
+        depth are multiplied here, in row blocks, and their products looked
+        up in the sweep's dict (a product outside it lies outside the
+        window or beyond the radius).  One rank array relabels every edge
+        to key order for graph_distance_matrix."""
+        sweep, law = self.sweep, self.sweep.law
+        srcs, dsts = [sweep.edges[0]], [sweep.edges[1]]
+        if not sweep.closed:
+            lo, find = int(np.searchsorted(sweep.depths, sweep.depths[-1])), sweep.index.get
+            for rows in metric.row_blocks(len(sweep) - lo, len(law.gen_ms)):
+                rows = slice(lo + rows.start, lo + rows.stop)
+                keys = law.keys(*law.times(*law.take(sweep.enc, sweep.ms, rows)))
+                dst = np.array([find(key, -1) for key in keys], dtype=np.int32)
+                src = np.repeat(np.arange(rows.start, rows.stop, dtype=np.int32), len(law.gen_ms))
+                srcs.append(src[dst >= 0])
+                dsts.append(dst[dst >= 0])
         keys = list(self.points)
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        law = self.sweep.law
-        enc, ms = law.take(self.sweep.enc, self.sweep.ms, np.array(order, dtype=np.intp))
-        index = dict(zip(law.keys(enc, ms), range(len(keys))))
-        step = len(self.generators)
-        found = [index.get(key) for key in law.keys(*law.times(enc, ms))]
-        adjacency = [[j for j in found[i * step : (i + 1) * step] if j is not None] for i in range(len(keys))]
-        return graph_distance_matrix([keys[r].decode() for r in order], adjacency)
+        rank = np.empty(len(keys), dtype=np.intp)
+        rank[order] = np.arange(len(keys))
+        return graph_distance_matrix([keys[r].decode() for r in order], rank[np.concatenate(srcs)], rank[np.concatenate(dsts)])
 
 
 def bfs_oracle(family, window=None, radius=5):
@@ -506,8 +541,10 @@ def bfs_oracle(family, window=None, radius=5):
     trusted when an explicitly verified geodesic witness stays inside
     the window (then both bounds meet and the value is exact).  The law
     holds products of radius + 1 generators, so the distance matrix
-    multiplies the sweep's points once more on the same basis.  A sweep
-    that passes BALL_POINT_LIMIT points raises a FamilyError.
+    multiplies the sweep's last depth once more on the same basis.  A
+    sweep that passes BALL_POINT_LIMIT points raises a FamilyError.
+    Keys come from canonical_bytes(h), once per distinct h of the sweep,
+    plus @m, and each distinct h is decoded once.
     """
     if window is None:
         window = family.default_window(radius)
@@ -517,7 +554,16 @@ def bfs_oracle(family, window=None, radius=5):
     sweep = breadth_first(Products(gens, radius + 1), radius, window=window, cap=BALL_POINT_LIMIT)
     if sweep.capped:
         raise FamilyError(f"the BFS oracle passes the limit of {BALL_POINT_LIMIT} points")
-    points = {x.key(): x for x in sweep.points()}
+    basis = sweep.law.basis
+    row_keys = basis.row_keys(sweep.enc)
+    # The last row of each distinct h.
+    last = dict(zip(row_keys, range(len(sweep))))
+    hs = basis.decode(basis.take(sweep.enc, np.array(list(last.values()), dtype=np.intp)))
+    h_of = {k: (h, family.canonical_bytes(h)) for k, h in zip(last, hs)}
+    points = {}
+    for k, m in zip(row_keys, sweep.ms.tolist()):
+        h, h_key = h_of[k]
+        points[h_key + b"@%d" % m] = GroupPoint(family, h, m)
     dist = dict(zip(points, sweep.depths.tolist()))
     trusted = set(itertools.compress(points, _trusted_rows(sweep.law, sweep.enc, sweep.ms, window)))
     return BfsResult(family, window, radius, points, dist, trusted, sweep.truncated, gens, sweep)
@@ -681,7 +727,7 @@ def _sample_encoded(family, count, max_len=8, seed=0, window=None):
     letters, row_of = [], {}  # the distinct letters drawn, and the row of each index
     basis = family.basis(letters, max_len, max_len)
     letter_enc = kept = basis.encode(letters)
-    kept_ms, seen = np.zeros(0, dtype=np.int64), set()
+    kept_ms, index = np.zeros(0, dtype=np.int64), {}
     attempts = 0
     while len(kept_ms) < count and attempts < 50 * count:
         # The first chunk has a word per missing point, later ones twice
@@ -710,7 +756,7 @@ def _sample_encoded(family, count, max_len=8, seed=0, window=None):
             new_basis = family.basis(letters, max_len, max_len)
             letter_enc = new_basis.encode(letters)
             kept = new_basis.encode(basis.decode(kept))
-            seen = set(zip(new_basis.row_keys(kept), kept_ms.tolist()))
+            index = dict(zip(zip(new_basis.row_keys(kept), kept_ms.tolist()), itertools.count()))
             basis = new_basis
         ms = np.array(ms, dtype=np.int64)
         enc = basis.twisted_sums(
@@ -719,7 +765,7 @@ def _sample_encoded(family, count, max_len=8, seed=0, window=None):
             np.array(word_of, dtype=np.intp),
             len(ms),
         )
-        new = _first_new(list(zip(basis.row_keys(enc), ms.tolist())), seen)[:missing]
+        new = _land(zip(basis.row_keys(enc), ms.tolist()), index)[1][:missing]
         kept = basis.concat([kept, basis.take(enc, new)])
         kept_ms = np.concatenate([kept_ms, ms[new]])
         attempts += len(ms)

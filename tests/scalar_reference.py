@@ -3,8 +3,10 @@
 These are the scalar loops that breadth_first, the oracle's distance
 matrix and trusted set, graph_distance_matrix, distortion_check's
 squaring and the Schottky check replaced, the int64 candidate-argmax
-form of the four-point kernel, ball_points with a GroupPoint per
-candidate and two full pairwise_word_lengths calls, sample_points
+form of the four-point kernel, the lamplighter delta ceiling's check
+with a lowest differing position per pair of points, ball_points with
+a GroupPoint per candidate and two full pairwise_word_lengths calls,
+sample_points
 drawing from a list of every windowed A-letter, the batched distances
 to the axis {alpha^k}, the fixed-point identity behind the lineal /
 focal verdict written in H's own operations, the Fraction loop over
@@ -20,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from focalgroups.families import ConfiningReport, FamilyError
-from focalgroups.metric import DistanceMatrix, MetricError, QIReport
+from focalgroups.metric import DistanceMatrix, MetricError, QIReport, row_blocks
 from focalgroups.words import (
     ALPHA,
     ALPHA_INV,
@@ -38,9 +40,13 @@ from focalgroups.words import (
 )
 
 
-def graph_distance_matrix(points, adjacency):
-    """metric.graph_distance_matrix with one Python BFS per source."""
+def graph_distance_matrix(points, src, dst):
+    """metric.graph_distance_matrix with one Python BFS per source over
+    adjacency lists."""
     n = len(points)
+    adjacency = [[] for _ in range(n)]
+    for u, v in zip(src, dst):
+        adjacency[u].append(v)
     rows = []
     for src in range(n):
         row = [-1] * n
@@ -78,6 +84,22 @@ def ball_points(family, radius, window=None, sample=None, seed=0):
     d = pairwise_word_lengths(pts, pts)
     ids = [x.key().decode() for x in pts]
     return pts, DistanceMatrix(ids, d)
+
+
+def delta_ceiling(basis, enc, ms, d):
+    """LamplighterBasis.delta_ceiling with the lowest differing position
+    found again for every pair of points, through tree_pairs a block of
+    rows at a time."""
+    if not basis.twisted:
+        return None
+    span = max(abs(basis.lo), abs(basis.hi) + 1, int(np.abs(ms).max(initial=0)))
+    dtype = np.promote_types(d.dtype, np.min_scalar_type(-(4 * span + 2)))
+    for rows in row_blocks(len(ms), len(ms)):
+        d_T, differs = basis.tree_pairs(enc[rows], ms[rows], enc, ms, dtype)
+        d_T += differs
+        if not np.array_equal(d_T, d[rows]):
+            return None
+    return Fraction(1)
 
 
 def defect2_at(d, xs):
@@ -172,14 +194,15 @@ def oracle_distance_matrix(res):
     """BfsResult.distance_matrix with one scalar product per edge."""
     keys = sorted(res.points)
     index = {k: i for i, k in enumerate(keys)}
-    adjacency = [[] for _ in keys]
+    src, dst = [], []
     for i, k in enumerate(keys):
         x = res.points[k]
         for s in res.generators:
             j = index.get((x * s).key())
             if j is not None:
-                adjacency[i].append(j)
-    return graph_distance_matrix([k.decode() for k in keys], adjacency)
+                src.append(i)
+                dst.append(j)
+    return graph_distance_matrix([k.decode() for k in keys], src, dst)
 
 
 def witness_in_window(x, window):

@@ -7,6 +7,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from test_metric import edge_arrays
 
 from focalgroups import boundary, words
 from focalgroups.cli import _delta_verdict, _emit, build_parser, main
@@ -87,7 +88,7 @@ class TestDelta:
         for j in range(n, n + tail):
             adjacency[j].append(j - 1 if j > n else 0)
             adjacency[j - 1 if j > n else 0].append(j)
-        D = graph_distance_matrix(list(range(n + tail)), adjacency)
+        D = graph_distance_matrix(list(range(n + tail)), *edge_arrays(adjacency))
         report, payload = _delta_verdict(LamplighterFamily(2), D, seed=0)
         assert (report.delta, report.upper, payload["bound"]) == (12, 24, 16.0)
         assert not payload["within_bound"]

@@ -292,6 +292,57 @@ TRUSTED = {
 }
 
 
+# A window whose slice of G is finite: the oracle's sweep closes at depth 5.
+CLOSED_ORACLE = (L2, LamplighterWindow(-1, 1, 1), 6)
+
+
+class TestOracleGraph:
+    """The oracle's Cayley graph comes from its sweep's edges, and only the
+    points at the last depth are multiplied again."""
+
+    @pytest.mark.parametrize("spec", sorted(TRUSTED))
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_matches_scalar_reference(self, spec, data):
+        # Drawn windows, many of which close before the radius (nadic:10 at
+        # radius 9, the object-dtype basis, always does), in whole blocks
+        # or blocks of a few frontier rows.
+        family, radii, windows = TRUSTED[spec]
+        radius = data.draw(radii, label="radius")
+        window = data.draw(windows(radius), label="window")
+        block = data.draw(st.sampled_from([metric.PAIRS_PER_BLOCK, 40, 1]), label="block")
+        with mock.patch.object(metric, "PAIRS_PER_BLOCK", block):
+            res = bfs_oracle(family, window, radius=radius)
+            D = res.distance_matrix()
+        points, dist, truncated = ref.oracle_sweep(res.generators, window, radius)
+        assert list(res.points.items()) == list(points.items())
+        assert res.dist == dist and res.truncated == truncated
+        assert res.trusted == {k for k, x in points.items() if ref.witness_in_window(x, window)}
+        want = ref.oracle_distance_matrix(res)
+        assert D.points == want.points
+        assert np.array_equal(D.d, want.d)
+
+    def test_closed_sweep(self):
+        family, window, radius = CLOSED_ORACLE
+        res = bfs_oracle(family, window, radius=radius)
+        assert res.sweep.closed and len(res.points) == 24 and res.sweep.depths[-1] == 5
+        want = ref.oracle_distance_matrix(res)
+        assert np.array_equal(res.distance_matrix().d, want.d)
+
+    @pytest.mark.parametrize(
+        "family, window, radius",
+        [pytest.param(*ORACLES[name], id=name) for name in sorted(ORACLES)] + [pytest.param(*CLOSED_ORACLE, id="closed")],
+    )
+    def test_distance_matrix_multiplies_only_the_last_depth(self, family, window, radius):
+        res = bfs_oracle(family, window, radius=radius)
+        depths = res.sweep.depths
+        last = 0 if res.sweep.closed else int((depths == depths[-1]).sum())
+        with mock.patch.object(Products, "times", autospec=True, side_effect=Products.times) as times:
+            res.distance_matrix()
+        assert sum(len(c.args[2]) for c in times.call_args_list) == last
+        assert times.call_count == (0 if res.sweep.closed else 1)
+
+
 class TestTrustedSet:
     @pytest.mark.parametrize("spec", sorted(TRUSTED))
     @given(data=st.data())

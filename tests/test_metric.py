@@ -9,6 +9,7 @@ import pytest
 import scalar_reference as ref
 from hypothesis import example, given
 from hypothesis import strategies as st
+from test_words import lamp_configs
 
 from focalgroups import cli, families, metric
 from focalgroups.families import LamplighterFamily, LamplighterWindow
@@ -25,7 +26,7 @@ from focalgroups.metric import (
     _defect2_at,
 )
 from focalgroups.trees import millefeuille, regular_tree_ball
-from focalgroups.words import ball_points
+from focalgroups.words import GroupPoint, ball_points, pairwise_word_lengths
 
 
 def reference_delta(D):
@@ -53,7 +54,7 @@ def graph_metrics(draw, max_n=12):
         if a != b:
             adjacency[a].add(b)
             adjacency[b].add(a)
-    return graph_distance_matrix(list(range(n)), [sorted(s) for s in adjacency])
+    return graph_distance_matrix(list(range(n)), *edge_arrays([sorted(s) for s in adjacency]))
 
 
 def path_metric(n):
@@ -113,9 +114,15 @@ def adjacency_lists(draw):
     return adjacency
 
 
+def edge_arrays(adjacency):
+    """(src, dst) of the edges i -> j for each j in adjacency[i]."""
+    src = [i for i, nbrs in enumerate(adjacency) for _ in nbrs]
+    return np.array(src, dtype=np.intp), np.array([j for nbrs in adjacency for j in nbrs], dtype=np.intp)
+
+
 def distances_or_none(gdm, adjacency):
     try:
-        D = gdm(list(range(len(adjacency))), adjacency)
+        D = gdm(list(range(len(adjacency))), *edge_arrays(adjacency))
     except MetricError:
         return None
     assert D.d.dtype.kind == "i"
@@ -136,7 +143,7 @@ class TestGraphDistanceMatrix:
 
     def test_directed_orientation(self):
         # A directed 3-cycle 0 -> 1 -> 2 -> 0: d[s, t] runs from s to t.
-        D = graph_distance_matrix(list("abc"), [[1], [2], [0]])
+        D = graph_distance_matrix(list("abc"), [0, 1, 2], [1, 2, 0])
         assert D.d.tolist() == [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
 
     @pytest.mark.parametrize(
@@ -149,12 +156,12 @@ class TestGraphDistanceMatrix:
     def test_directed_unreachable_raises(self, adjacency):
         for gdm in (graph_distance_matrix, ref.graph_distance_matrix):
             with pytest.raises(MetricError, match="graph is disconnected"):
-                gdm(list(range(len(adjacency))), adjacency)
+                gdm(list(range(len(adjacency))), *edge_arrays(adjacency))
 
     def test_path(self):
         n = 6
         adjacency = [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
-        D = graph_distance_matrix(list("abcdef"), adjacency)
+        D = graph_distance_matrix(list("abcdef"), *edge_arrays(adjacency))
         assert D.points == list("abcdef")
         assert D.d.dtype.kind == "i"
         assert (D.d == path_metric(n).d).all()
@@ -162,14 +169,14 @@ class TestGraphDistanceMatrix:
     def test_cycle(self):
         for n in (3, 4, 7):
             adjacency = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
-            D = graph_distance_matrix(list(range(n)), adjacency)
+            D = graph_distance_matrix(list(range(n)), *edge_arrays(adjacency))
             assert (D.d == cycle_metric(n).d).all()
 
     def test_disconnected_rejected(self):
         adjacency = [[1], [0], [3], [2]]
         for gdm in (graph_distance_matrix, ref.graph_distance_matrix):
             with pytest.raises(MetricError, match="graph is disconnected"):
-                gdm(list(range(4)), adjacency)
+                gdm(list(range(4)), *edge_arrays(adjacency))
 
 
 class TestGromovProduct:
@@ -430,6 +437,27 @@ class TestDeltaCeiling:
             "exhaustive": False,
         }
 
+    @given(data=st.data())
+    def test_ceiling_matches_the_per_pair_check(self, data):
+        # Points drawn on a few lamp configurations, so that most share one;
+        # their word metric in int8 or int64, at times with one entry moved
+        # by one; in one block, in blocks of a few rows or of one row.
+        family = LamplighterFamily(data.draw(st.sampled_from([2, 3]), label="q"))
+        configs = data.draw(st.lists(lamp_configs(family.q), min_size=1, max_size=6), label="configs")
+        pts = data.draw(
+            st.lists(st.builds(GroupPoint, st.just(family), st.sampled_from(configs), st.integers(-7, 7)), min_size=1, max_size=24),
+            label="pts",
+        )
+        basis, rows, ms = encoded_rows(pts)
+        d = pairwise_word_lengths(pts, pts).astype(data.draw(st.sampled_from([np.int8, np.int64]), label="dtype"))
+        if data.draw(st.booleans(), label="moved"):
+            i, j = (data.draw(st.integers(0, len(pts) - 1), label=label) for label in "ij")
+            d[i, j] += data.draw(st.sampled_from([-1, 1]), label="by")
+        block = data.draw(st.sampled_from([metric.PAIRS_PER_BLOCK, 30, 1]), label="block")
+        with mock.patch.object(metric, "PAIRS_PER_BLOCK", block):
+            got = basis.delta_ceiling(rows, ms, d)
+        assert got == ref.delta_ceiling(basis, rows, ms, d)
+
     @pytest.mark.parametrize("ceiling", [Fraction(3, 2), Fraction(2)])
     def test_kernel_ceiling_the_centre_misses_keeps_the_interval(self, ceiling):
         # nadic:2 r3 has delta = 3/2, and its centre gives only 1: under a
@@ -464,6 +492,48 @@ class TestDeltaCeiling:
         D = DistanceMatrix.from_csv(io.StringIO(capsys.readouterr().out))
         report = four_point_delta(D)
         assert D.delta_ceiling is None and report.method == "basepoints" and (report.delta, report.upper) == (1, 2)
+
+
+def kernel_work(run):
+    """(levels scanned, products made) by the delta kernel during run():
+    _run_level runs once per level scanned, and each basepoint of a chunk
+    that reaches _raise_defects had its boolean product taken."""
+    with (
+        mock.patch.object(metric, "_run_level", wraps=metric._run_level) as level,
+        mock.patch.object(metric, "_raise_defects", wraps=metric._raise_defects) as update,
+    ):
+        run()
+    return level.call_count, sum(len(c.args[1]) for c in update.call_args_list)
+
+
+class TestKernelWork:
+    """The kernel's work on fixed matrices, pinned: no result shows a skip
+    or a break that comes too late, since both only repeat work that beats
+    no defect."""
+
+    def test_kernel_work_tree_needs_no_product(self):
+        # Every level of a tree product is an equivalence relation at every
+        # basepoint, whose defect stays 0: the skip removes every product.
+        D = millefeuille(regular_tree_ball(2, 3), regular_tree_ball(2, 3)).distance_matrix()
+        assert kernel_work(lambda: four_point_delta(D)) == (6, 0)
+
+    def test_kernel_work_nadic_ball(self):
+        # Centre and seeded point, levels 12 down to 3.
+        D = kernel_matrix("nadic2-r3")
+        assert kernel_work(lambda: four_point_delta(D)) == (10, 10)
+
+    def test_kernel_work_ends_at_the_ceiling(self):
+        # The centre's levels 8 and 7 have prefixes of one point, and level 6
+        # raises its defect to the ceiling 2: the scan ends after 3 levels.
+        D = kernel_matrix("lamplighter2-r4")
+        assert kernel_work(lambda: four_point_delta(D)) == (3, 1)
+
+    def test_kernel_work_skips_only_at_defect_zero(self):
+        # Every basepoint, no ceiling: a basepoint whose defect is already 1
+        # still takes its product where the mask is an equivalence relation
+        # (skipping there too would make 828 products).
+        D = kernel_matrix("lamplighter2-r4")
+        assert kernel_work(lambda: _defect2_at(D.d, np.arange(len(D)))) == (15, 1014)
 
 
 class TestRowBlocks:
