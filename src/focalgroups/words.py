@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -402,17 +403,28 @@ class Products:
         return [GroupPoint(self.family, h, m) for h, m in zip(self.basis.decode(enc), ms.tolist())]
 
 
+def _position_index(keys=()):
+    """A dict from keys to their positions 0, 1, ... in insertion order,
+    which adds a missing key at the next position when it is looked up
+    with [] (its default_factory is its own length)."""
+    index = defaultdict(None, zip(keys, itertools.count()))
+    index.default_factory = index.__len__
+    return index
+
+
 def _land(keys, index):
-    """The position of each key in `index`, a dict of keys to positions
-    0, 1, ... in insertion order, as an int32 array; a key not in it is
-    added at the next position, so new keys are numbered in the order of
-    their first occurrences.  Returns (positions, the first occurrence of
-    each new key, in order)."""
-    count, add = len(index), index.setdefault
-    at = np.array([add(key, len(index)) for key in keys], dtype=np.int32)
-    # New keys take count, count + 1, ... as they first occur, so with old
-    # positions lowered to count - 1, the running maximum rises exactly there.
-    return at, np.flatnonzero(np.diff(np.maximum.accumulate(np.maximum(at, count - 1)), prepend=count - 1))
+    """The position of each key in `index`, a _position_index, as a list:
+    a key not in it is added at the next position, so new keys are
+    numbered in the order of their first occurrences.  Returns
+    (positions, the first occurrence of each new key, in order)."""
+    count = len(index)
+    at = list(map(index.__getitem__, keys))
+    # Each search starts at the last one's hit: one scan of `at` in all.
+    first, r = [], 0
+    for p in range(count, len(index)):
+        r = at.index(p, r)
+        first.append(r)
+    return at, first
 
 
 @dataclass
@@ -422,7 +434,7 @@ class Sweep:
     ms: np.ndarray  # their exponents
     depths: np.ndarray  # the BFS level of each point, ascending
     index: dict  # each point's law key -> its position in the sweep
-    edges: tuple  # int32 (src, dst): the positions of x and x . s for each product kept
+    edges: tuple | None  # with edges: int32 (src, dst), the positions of x and x . s per product kept
     truncated: bool  # some product fell outside the window
     capped: bool  # the cap stopped the sweep
     closed: bool  # a level found nothing new before the cap or the last level
@@ -434,7 +446,7 @@ class Sweep:
         return self.law.decode(self.enc, self.ms)
 
 
-def breadth_first(law, levels, window=None, cap=None):
+def breadth_first(law, levels, window=None, cap=None, edges=False):
     """Level-synchronous BFS from the identity over the law's generators.
 
     Each level multiplies the frontier by every generator in the row
@@ -446,32 +458,35 @@ def breadth_first(law, levels, window=None, cap=None):
     holds every depth below its last one.
 
     One walk over each block's keys, through the sweep's dict of keys to
-    positions, finds the new points and where every kept product lands,
-    so the sweep also holds the edges x -> x . s of its windowed Cayley
-    graph from every point it multiplied: every point below the last
-    depth, and every point when it closed.  A capped sweep keeps only the
-    edges between its points.
+    positions, finds the new points and where every kept product lands.
+    With `edges`, the sweep keeps those landings as the edges x -> x . s
+    of its windowed Cayley graph from every point it multiplied: every
+    point below the last depth, and every point when it closed.  A capped
+    sweep keeps only the edges between its points.  Only the oracle asks
+    for them: subgroup closures and the distortion check would hold 8
+    bytes per product they never read.
     """
     enc, ms = law.encode([identity_point(law.family)])
-    by_depth, index, start = [(enc, ms)], dict.fromkeys(law.keys(enc, ms), 0), 0
+    by_depth, index, start = [(enc, ms)], _position_index(law.keys(enc, ms)), 0
     srcs, dsts = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
     truncated = capped = closed = False
     for depth in range(1, levels + 1):
         found = []
         for rows in metric.row_blocks(len(ms), len(law.gen_ms)):
             cand, cand_ms = law.times(*law.take(enc, ms, rows))
-            src = np.repeat(np.arange(start + rows.start, start + rows.stop, dtype=np.int32), len(law.gen_ms))
+            kept = slice(None)
             if window is not None:
                 inside = (np.abs(cand_ms) <= window.levels) & law.basis.in_window(cand, window)
                 truncated = truncated or not inside.all()
                 kept = np.flatnonzero(inside)
-                cand, cand_ms, src = *law.take(cand, cand_ms, kept), src[kept]
+                cand, cand_ms = law.take(cand, cand_ms, kept)
             dst, new = _land(law.keys(cand, cand_ms), index)
             if cap is not None and len(index) > cap:
                 new, capped = new[: cap + 1 - (len(index) - len(new))], True
             found.append(law.take(cand, cand_ms, new))
-            srcs.append(src)
-            dsts.append(dst)
+            if edges:
+                srcs.append(np.repeat(np.arange(start + rows.start, start + rows.stop, dtype=np.int32), len(law.gen_ms))[kept])
+                dsts.append(np.array(dst, dtype=np.int32))
             if capped:
                 break
         start += len(ms)
@@ -484,11 +499,13 @@ def breadth_first(law, levels, window=None, cap=None):
             break
     depths = np.repeat(np.arange(len(by_depth)), [len(ms) for _, ms in by_depth])
     enc, ms = law.concat(by_depth)
+    # From here on, a lookup of a missing key raises KeyError.
+    index.default_factory = None
     src, dst = np.concatenate(srcs), np.concatenate(dsts)
     if capped:
         index = dict(itertools.islice(index.items(), len(ms)))
         src, dst = src[dst < len(ms)], dst[dst < len(ms)]
-    return Sweep(law, enc, ms, depths, index, (src, dst), truncated, capped, closed)
+    return Sweep(law, enc, ms, depths, index, (src, dst) if edges else None, truncated, capped, closed)
 
 
 @dataclass
@@ -551,7 +568,7 @@ def bfs_oracle(family, window=None, radius=5):
     letters = [h_point(family, a) for a in window_a_letters(family, window)]
     gens = letters + [alpha_point(family, 1), alpha_point(family, -1)]
 
-    sweep = breadth_first(Products(gens, radius + 1), radius, window=window, cap=BALL_POINT_LIMIT)
+    sweep = breadth_first(Products(gens, radius + 1), radius, window=window, cap=BALL_POINT_LIMIT, edges=True)
     if sweep.capped:
         raise FamilyError(f"the BFS oracle passes the limit of {BALL_POINT_LIMIT} points")
     basis = sweep.law.basis
@@ -727,7 +744,7 @@ def _sample_encoded(family, count, max_len=8, seed=0, window=None):
     letters, row_of = [], {}  # the distinct letters drawn, and the row of each index
     basis = family.basis(letters, max_len, max_len)
     letter_enc = kept = basis.encode(letters)
-    kept_ms, index = np.zeros(0, dtype=np.int64), {}
+    kept_ms, index = np.zeros(0, dtype=np.int64), _position_index()
     attempts = 0
     while len(kept_ms) < count and attempts < 50 * count:
         # The first chunk has a word per missing point, later ones twice
@@ -756,7 +773,7 @@ def _sample_encoded(family, count, max_len=8, seed=0, window=None):
             new_basis = family.basis(letters, max_len, max_len)
             letter_enc = new_basis.encode(letters)
             kept = new_basis.encode(basis.decode(kept))
-            index = dict(zip(zip(new_basis.row_keys(kept), kept_ms.tolist()), itertools.count()))
+            index = _position_index(zip(new_basis.row_keys(kept), kept_ms.tolist()))
             basis = new_basis
         ms = np.array(ms, dtype=np.int64)
         enc = basis.twisted_sums(
