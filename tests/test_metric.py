@@ -523,13 +523,14 @@ class TestKernelWork:
         assert kernel_work(lambda: four_point_delta(D)) == (10, 10)
 
     def test_kernel_work_ends_at_the_ceiling(self):
-        # The centre's levels 8 and 7 have prefixes of one point, and level 6
-        # raises its defect to the ceiling 2: the scan ends after 3 levels.
+        # At the centre, levels 8 and 7 are equivalence relations and take
+        # no product, and level 6's product raises its defect to the ceiling
+        # 2: the scan ends after 3 levels.
         D = kernel_matrix("lamplighter2-r4")
         assert kernel_work(lambda: four_point_delta(D)) == (3, 1)
 
     def test_kernel_work_skips_only_at_defect_zero(self):
-        # Every basepoint, no ceiling: a basepoint whose defect is already 1
+        # Every basepoint, no ceiling: a basepoint whose defect is positive
         # still takes its product where the mask is an equivalence relation
         # (skipping there too would make 828 products).
         D = kernel_matrix("lamplighter2-r4")
